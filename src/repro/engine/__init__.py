@@ -33,10 +33,15 @@ Layers:
   (:class:`CacheBackend`: the in-memory LRU, or a persistent
   ``cache="disk:/path"`` backend surviving across processes) keyed on
   (query fingerprint, database fingerprint, strategy);
-* :mod:`repro.engine.core` — :class:`Engine` and :class:`Session`;
+* :mod:`repro.engine.spec` — :class:`CallSpec`, the per-call settings
+  (semantics, optimize, stats, backend, deadline, shard-failure and
+  retry policy, tracing, sharding, caching) every façade shares;
+* :mod:`repro.engine.core` — :class:`Engine` and :class:`Session`, and
+  the evaluate pipeline written once as steps;
+* :mod:`repro.engine.drive` — the sync and async drivers of those steps;
 * :mod:`repro.engine.aio` — :class:`AsyncEngine` and
-  :class:`AsyncSession`, the awaitable twins with concurrent
-  batch/compare fan-out over a worker pool.
+  :class:`AsyncSession`, which drive the same pipeline from an event
+  loop with concurrent batch/compare fan-out over a worker pool.
 """
 
 from .cache import (
@@ -53,6 +58,7 @@ from .cache import (
     resolve_cache_backend,
 )
 from .capabilities import EXACT_FRAGMENTS_CWA, StrategyCapabilities
+from .spec import CallSpec
 from .shm_cache import SharedMemoryCacheBackend
 from .core import Engine, Session, default_engine, evaluate
 from .aio import AsyncEngine, AsyncSession, EngineTask, run_engine_task
@@ -86,6 +92,7 @@ __all__ = [
     "Session",
     "default_engine",
     "evaluate",
+    "CallSpec",
     # Async façade
     "AsyncEngine",
     "AsyncSession",

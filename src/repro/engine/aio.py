@@ -1,10 +1,9 @@
-"""The async twin of the engine façade: concurrent batch/compare fan-out.
+"""The async driver of the engine pipeline: concurrent batch/compare fan-out.
 
 The paper's central workload is *comparison*: run six evaluation regimes
-(``sql-3vl``, ``naive``, ``exact-certain``, ``approx-libkin16``,
-``approx-guagliardo16``, ``ctables``) on the same (query, database)
-pairs.  Every strategy is a pure function of its inputs, so the shape is
-embarrassingly parallel — :class:`AsyncEngine` exploits that::
+on the same (query, database) pairs.  Every strategy is a pure function
+of its inputs, so the shape is embarrassingly parallel —
+:class:`AsyncEngine` exploits that::
 
     from repro.engine import AsyncSession
 
@@ -12,29 +11,26 @@ embarrassingly parallel — :class:`AsyncEngine` exploits that::
         results = await session.compare(query)          # strategies overlap
         batch = await session.evaluate_batch(queries)   # queries overlap
 
-Design:
+``AsyncEngine`` composes a sync :class:`~repro.engine.core.Engine`
+(pass one in to share it and its cache) and drives the *same* pipeline
+steps (:mod:`repro.engine.drive`) — validation, planning, caching,
+sharding, resilience and tracing are the sync engine's code.  It
+differs only in how it answers the steps:
 
-* **Shared frontend and cache.**  ``AsyncEngine`` composes a sync
-  :class:`~repro.engine.core.Engine` (pass one in to share it, or let
-  the async engine create and own a private one).  Normalization, the
-  strategy registry, sharding resolution and the (thread-safe)
-  :class:`~repro.engine.cache.ResultCache` are the sync engine's —
-  results computed by either twin are cache hits for the other, under
-  the same :func:`~repro.engine.cache.evaluation_cache_key`.
-* **Worker dispatch.**  Strategy runs are shipped to a
-  ``concurrent.futures`` pool through ``loop.run_in_executor`` over the
-  picklable :func:`run_engine_task` entry point — the same pattern as
-  :func:`repro.sharding.executor.run_shard_task`.  ``pool="process"``
-  (the default) gives true parallelism across cores; ``"thread"`` keeps
-  everything in-process (useful when results are large or workers are
-  expensive to fork); ``"serial"`` computes inline on the event loop
-  (deterministic debugging); an existing ``concurrent.futures.Executor``
-  instance is used as-is and never shut down by the engine.
+* **Worker dispatch.**  A cache miss is shipped to a
+  ``concurrent.futures`` pool over the picklable
+  :func:`~repro.engine.core.run_engine_task` entry point.
+  ``pool="process"`` (the default) gives true parallelism across cores;
+  ``"thread"`` keeps everything in-process; ``"serial"`` computes inline
+  on the event loop (deterministic debugging); an existing
+  ``concurrent.futures.Executor`` instance is used as-is and never shut
+  down by the engine.  Waits are bounded by the call's deadline and
+  transient failures are retried by the same loop that fans out shards.
 * **Bounded fan-out.**  ``max_concurrency`` caps in-flight dispatches
-  with an :class:`asyncio.Semaphore`.  The semaphore is held only
-  around the executor hop (never while awaiting another engine call),
-  so nested paths — e.g. a sharded evaluation falling back to the
-  monolithic one — cannot deadlock on it.
+  with an :class:`asyncio.Semaphore`, held only around a hop onto
+  workers (never while awaiting another engine call), so nested paths —
+  a sharded evaluation falling back to the monolithic one — cannot
+  deadlock on it.
 * **Single-flight.**  Concurrent evaluations of the same cache key
   coalesce onto one computation; followers get the shared result marked
   ``from_cache=True``.  The in-flight group is reference-counted:
@@ -46,12 +42,6 @@ Design:
   :class:`repro.server.pool.CancellableProcessExecutor`, the worker
   process), and the abandoned result is **never** inserted into the
   result cache.
-* **Sharding.**  A :class:`~repro.sharding.ShardedDatabase` (or
-  ``shards=N``) takes the async sharded path —
-  :func:`repro.sharding.evaluate.evaluate_sharded_async` — reusing the
-  sync engine's :class:`~repro.sharding.executor.ShardExecutor`s through
-  their awaitable ``run_async`` surface, so per-shard partial caching
-  and invalidation behave exactly as in the sync engine.
 
 Custom strategies registered at runtime exist only in the parent
 process; with the default ``fork`` start method on Linux they are
@@ -65,33 +55,23 @@ import asyncio
 import concurrent.futures
 import contextlib
 import os
-import time
-from dataclasses import dataclass, field, replace
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 from ..datamodel.database import Database
-from ..obs import metrics as obs_metrics
 from ..obs.explain import render_explain
-from ..obs.trace import SpanContext, current_span, span, start_trace
-from ..resilience import (
-    Deadline,
-    DeadlineExceeded,
-    RetryPolicy,
-    deadline_scope,
-    resolve_deadline,
-    resolve_retry,
-)
-from .cache import CacheStats, database_fingerprint, evaluation_cache_key
+from ..obs.trace import SpanContext, current_span
+from .cache import CacheStats
 from .core import (
-    _ON_SHARD_ERROR,
     Engine,
-    _presharded_database,
-    _with_backend_note,
-    _with_plan_metadata,
+    EngineTask,
+    PreparedCall,
+    SessionBase,
+    run_engine_task,
 )
+from .drive import Compute, Dispatch, answer_async, completed_future, drive_async, run_tasks
 from .errors import EngineError, StrategyNotApplicableError
-from .registry import StrategyOutcome, get_strategy
 from .result import QueryResult
+from .spec import ENGINE_KEYWORDS, check_settings
 
 __all__ = ["AsyncEngine", "AsyncSession", "EngineTask", "run_engine_task"]
 
@@ -117,73 +97,25 @@ class _InFlight:
         self.waiters = 0
 
 
-@dataclass(frozen=True)
-class EngineTask:
-    """One monolithic evaluation, self-contained and picklable.
+class _Workers:
+    """The engine's worker pool behind the ``submit``/``reset`` surface
+    :func:`~repro.engine.drive.run_tasks` drives."""
 
-    Everything a worker needs: the normalized query (frozen dataclasses
-    all the way down), the database, and the strategy resolved by name
-    inside the worker — mirroring
-    :class:`~repro.sharding.executor.ShardTask`.
-    """
+    def __init__(self, engine: "AsyncEngine"):
+        self._engine = engine
 
-    normalized: Any
-    database: Database
-    strategy: str
-    semantics: str
-    options: tuple[tuple[str, Any], ...] = ()
-    #: Wall-clock budget carried to the worker (compare=False like
-    #: :class:`~repro.sharding.executor.ShardTask`: a deadline changes
-    #: whether a task finishes, never what it computes).
-    deadline: Deadline | None = field(default=None, compare=False)
-    #: Trace linkage (:class:`repro.obs.SpanContext`) when the caller
-    #: evaluates with ``trace=True``: the worker records its own span
-    #: tree and ships the export back on the task result, where the
-    #: caller grafts it into the live trace.  Excluded from equality
-    #: like the deadline — tracing observes, never steers.
-    trace: SpanContext | None = field(default=None, compare=False)
+    def submit(self, task: EngineTask) -> concurrent.futures.Future:
+        engine = self._engine
+        if engine._pool_kind == "serial":
+            return completed_future(run_engine_task, task)
+        return engine._pool_executor().submit(run_engine_task, task)
 
-
-@dataclass(frozen=True)
-class EngineTaskResult:
-    """A strategy outcome plus the worker-side wall-clock time."""
-
-    outcome: StrategyOutcome
-    elapsed: float
-    #: The worker's exported span tree (None when the task was untraced).
-    trace: Any = None
-
-
-def run_engine_task(task: EngineTask) -> EngineTaskResult:
-    """Evaluate one engine task; also the worker-process entry point.
-
-    Unpickling the task in a spawned worker imports this module, which
-    runs ``repro.engine.__init__`` and thereby registers the built-in
-    strategies before the lookup by name (the ``run_shard_task``
-    pattern).
-    """
-    strategy = get_strategy(task.strategy)
-    with (
-        contextlib.nullcontext(None)
-        if task.trace is None
-        else task.trace.activate("worker", strategy=task.strategy)
-    ) as root:
-        start = time.perf_counter()
-        with deadline_scope(task.deadline):
-            outcome = strategy.run(
-                task.normalized,
-                task.database,
-                semantics=task.semantics,
-                **dict(task.options),
-            )
-        elapsed = time.perf_counter() - start
-        if root is not None:
-            root.incr("rows_out", len(outcome.answer))
-    return EngineTaskResult(
-        outcome=outcome,
-        elapsed=elapsed,
-        trace=None if root is None else root.export(),
-    )
+    def reset(self) -> None:
+        """Discard a broken owned pool so the next submit respawns it."""
+        engine = self._engine
+        if engine._owns_pool and engine._pool is not None:
+            engine._pool.shutdown(wait=False, cancel_futures=True)
+            engine._pool = None
 
 
 class AsyncEngine:
@@ -202,38 +134,11 @@ class AsyncEngine:
         pool: Any = "process",
         max_workers: int | None = None,
         max_concurrency: int | None = None,
-        cache_size: int = 256,
-        cache: Any = None,
-        default_semantics: str = "set",
-        shards: int | None = None,
-        executor: Any = "serial",
-        partitioner: Any = None,
-        optimize: bool = True,
-        stats: bool = True,
-        backend: str = "auto",
-        auto_exact_budget: int | None = None,
-        timeout: float | Deadline | None = None,
-        on_shard_error: str = "raise",
-        retry: RetryPolicy | bool | None = None,
-        trace: bool = False,
+        **settings: Any,
     ):
+        check_settings("AsyncEngine", settings)
         self._owns_engine = engine is None
-        self._engine = engine or Engine(
-            cache_size=cache_size,
-            cache=cache,
-            default_semantics=default_semantics,
-            shards=shards,
-            executor=executor,
-            partitioner=partitioner,
-            optimize=optimize,
-            stats=stats,
-            backend=backend,
-            auto_exact_budget=auto_exact_budget,
-            timeout=timeout,
-            on_shard_error=on_shard_error,
-            retry=retry,
-            trace=trace,
-        )
+        self._engine = engine or Engine(**settings)
         if isinstance(pool, concurrent.futures.Executor):
             self._pool: concurrent.futures.Executor | None = pool
             self._owns_pool = False
@@ -251,6 +156,7 @@ class AsyncEngine:
             raise EngineError("max_concurrency must be a positive integer or None")
         self.max_workers = max_workers
         self.max_concurrency = max_concurrency
+        self._workers = _Workers(self)
         # Loop-bound state, (re)created by _bind_loop so one AsyncEngine
         # survives successive asyncio.run() invocations.
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -262,7 +168,7 @@ class AsyncEngine:
     # ------------------------------------------------------------------
     @property
     def engine(self) -> Engine:
-        """The sync twin this engine shares its cache and config with."""
+        """The sync engine this one shares its cache and config with."""
         return self._engine
 
     @staticmethod
@@ -270,7 +176,7 @@ class AsyncEngine:
         return Engine.strategies()
 
     def describe(self) -> dict[str, Any]:
-        """The capability table and configuration of the sync twin."""
+        """The capability table and configuration of the sync engine."""
         return self._engine.describe()
 
     @property
@@ -286,7 +192,7 @@ class AsyncEngine:
 
     @property
     def default_semantics(self) -> str:
-        return self._engine.default_semantics
+        return self._engine.defaults.semantics
 
     @property
     def pool_kind(self) -> str:
@@ -316,7 +222,7 @@ class AsyncEngine:
     # ------------------------------------------------------------------
     # Loop-bound plumbing
     # ------------------------------------------------------------------
-    def _bind_loop(self) -> asyncio.AbstractEventLoop:
+    def _bind_loop(self) -> None:
         loop = asyncio.get_running_loop()
         if self._loop is not loop:
             self._loop = loop
@@ -326,7 +232,6 @@ class AsyncEngine:
                 else None
             )
             self._pending = {}
-        return loop
 
     def _limit(self):
         """The dispatch limiter: the semaphore, or a reusable no-op."""
@@ -347,78 +252,6 @@ class AsyncEngine:
                 )
         return self._pool
 
-    async def _dispatch(self, task: EngineTask) -> EngineTaskResult:
-        """Run one task on the pool, holding a semaphore slot meanwhile."""
-        async with self._limit():
-            if self._pool_kind == "serial":
-                return run_engine_task(task)
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                self._pool_executor(), run_engine_task, task
-            )
-
-    def _reset_pool(self) -> None:
-        """Discard a broken owned pool so the next dispatch respawns it."""
-        if self._owns_pool and self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    async def _dispatch_resilient(
-        self,
-        task: EngineTask,
-        *,
-        deadline: Deadline | None,
-        retry: RetryPolicy | None,
-    ) -> tuple[EngineTaskResult, int]:
-        """Dispatch with a deadline-bounded wait and transient retries.
-
-        The worker honours ``task.deadline`` itself (via the evaluator's
-        loop checks), but a worker stuck in native code — or a pool whose
-        process died mid-task — would never come back; ``asyncio.wait_for``
-        caps the wait from the caller's side.  Transient dispatch
-        failures (a killed pool worker raises ``BrokenProcessPool``) are
-        retried under ``retry``, respawning an owned pool first.
-        """
-        attempts = 0
-        while True:
-            try:
-                if deadline is None:
-                    return await self._dispatch(task), attempts
-                try:
-                    return (
-                        await asyncio.wait_for(
-                            self._dispatch(task), timeout=deadline.remaining()
-                        ),
-                        attempts,
-                    )
-                except DeadlineExceeded:
-                    raise
-                except TimeoutError:
-                    raise DeadlineExceeded(
-                        f"evaluation exceeded its {deadline.budget:.3f}s "
-                        "deadline (async dispatch)"
-                    ) from None
-            except DeadlineExceeded:
-                raise
-            except Exception as exc:
-                attempts += 1
-                if (
-                    retry is None
-                    or attempts >= retry.max_attempts
-                    or not retry.is_retryable(exc)
-                    or (deadline is not None and deadline.expired)
-                ):
-                    raise
-                if any(
-                    klass.__name__ in ("BrokenProcessPool", "BrokenExecutor")
-                    for klass in type(exc).__mro__
-                ):
-                    self._reset_pool()
-                pause = retry.delay(attempts)
-                if deadline is not None:
-                    pause = min(pause, max(0.0, deadline.remaining()))
-                await asyncio.sleep(pause)
-
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
@@ -428,172 +261,52 @@ class AsyncEngine:
         database: Database,
         *,
         strategy: str = "naive",
-        semantics: str | None = None,
-        use_cache: bool = True,
         database_fp: str | None = None,
-        shards: int | None = None,
-        executor: Any = None,
-        partitioner: Any = None,
-        optimize: bool | None = None,
-        stats: bool | None = None,
-        backend: str | None = None,
-        timeout: float | Deadline | None = None,
-        on_shard_error: str | None = None,
-        retry: RetryPolicy | bool | None = None,
-        trace: bool | None = None,
-        **options: Any,
+        **kwargs: Any,
     ) -> QueryResult:
         """Awaitable :meth:`repro.engine.Engine.evaluate`, same contract.
 
         The result is identical to the sync engine's (worker-measured
         ``elapsed`` aside); concurrent calls overlap up to
-        ``max_concurrency`` and the pool's worker count.  ``timeout``,
-        ``on_shard_error``, ``retry`` and ``trace`` behave exactly as on
-        the sync engine; the deadline additionally bounds the wait on
-        the worker pool, so a wedged worker cannot hold the caller past
-        its budget.  With ``trace=True``, worker-side spans (the
-        strategy run happens in the pool) are stitched back under this
-        call's root span via the task's
-        :class:`~repro.obs.SpanContext`.
+        ``max_concurrency`` and the pool's worker count.  The deadline
+        additionally bounds the wait on the worker pool, so a wedged
+        worker cannot hold the caller past its budget.  With
+        ``trace=True``, worker-side spans (the strategy run happens in
+        the pool) are stitched back under this call's root span via the
+        task's :class:`~repro.obs.SpanContext`.
         """
         self._bind_loop()
-        engine = self._engine
-        do_trace = engine.default_trace if trace is None else bool(trace)
-        with (
-            start_trace("evaluate") if do_trace else contextlib.nullcontext()
-        ) as root:
-            deadline = resolve_deadline(timeout, engine.default_timeout)
-            if on_shard_error is None:
-                on_shard_error = engine.default_on_shard_error
-            elif on_shard_error not in _ON_SHARD_ERROR:
-                raise EngineError(
-                    f"unknown on_shard_error {on_shard_error!r}; "
-                    f"expected one of {_ON_SHARD_ERROR}"
-                )
-            retry_policy = (
-                engine.default_retry if retry is None else resolve_retry(retry)
-            )
-            strat, semantics, normalized, decision = engine._prepare_call(
-                query, database, strategy, semantics
-            )
-            options = engine._resolve_options(strat, optimize, stats, backend, options)
-            sharded = engine._sharded_database(database, shards, partitioner)
-            if root is not None:
-                root.set_attr("strategy", strat.name)
-                root.set_attr("semantics", semantics)
-            if sharded is not None:
-                from ..sharding.evaluate import evaluate_sharded_async
-
-                cache = (
-                    engine._cache if use_cache and engine._cache.enabled else None
-                )
-
-                async def coalesced() -> QueryResult:
-                    return await self._evaluate_monolithic(
-                        normalized,
-                        sharded,
-                        strat,
-                        semantics,
-                        use_cache=use_cache,
-                        database_fp=database_fp,
-                        options=options,
-                        deadline=deadline,
-                        retry=retry_policy,
-                    )
-
-                result = await evaluate_sharded_async(
-                    normalized,
-                    sharded,
-                    strat,
-                    semantics=semantics,
-                    options=options,
-                    executor=engine._shard_executor(executor),
-                    cache=cache,
-                    database_fp=database_fp,
-                    evaluate_coalesced=coalesced,
-                    limiter=self._limit(),
-                    deadline=deadline,
-                    on_shard_error=on_shard_error,
-                    retry=retry_policy,
-                )
-            else:
-                result = await self._evaluate_monolithic(
-                    normalized,
-                    database,
-                    strat,
-                    semantics,
-                    use_cache=use_cache,
-                    database_fp=database_fp,
-                    options=options,
-                    deadline=deadline,
-                    retry=retry_policy,
-                )
-        obs_metrics.incr("engine.evaluations", strategy=strat.name)
-        obs_metrics.observe(
-            "engine.elapsed_ms", result.elapsed * 1000.0, strategy=strat.name
+        return await drive_async(
+            self._engine._steps(query, database, strategy, database_fp, kwargs),
+            self._answer,
         )
-        result = _with_plan_metadata(result, decision)
-        result = _with_backend_note(result, strat, backend)
-        if root is not None:
-            # Attached post-hoc like the plan/backend notes: the cached
-            # entry carries no trace, the returned copy does.
-            result = replace(
-                result, metadata={**result.metadata, "trace": root.export()}
-            )
-        return result
 
-    async def _evaluate_monolithic(
-        self,
-        normalized: Any,
-        database: Database,
-        strat: Any,
-        semantics: str,
-        *,
-        use_cache: bool,
-        database_fp: str | None,
-        options: Mapping[str, Any],
-        deadline: Deadline | None = None,
-        retry: RetryPolicy | None = None,
-    ) -> QueryResult:
-        key = None
-        if use_cache and self._engine._cache.enabled:
-            with span("cache.lookup") as lookup:
-                if database_fp is None:
-                    database_fp = database_fingerprint(database)
-                # The deadline and retry policy are deliberately not part of
-                # the cache (or coalescing) key: they change whether a
-                # computation finishes, never what it computes.
-                key = evaluation_cache_key(
-                    normalized.fingerprint, database_fp, strat.name, semantics, options
-                )
-                cached = self._engine._cache.get(key)
-                lookup.set_attr("outcome", "hit" if cached is not None else "miss")
-            if cached is not None:
-                return cached.as_cached()
+    async def _answer(self, step: Any) -> Any:
+        """The async driver: dispatch misses to the pool, never block."""
+        if isinstance(step, Compute):
+            return await self._single_flight(step.call, step.key)
+        if isinstance(step, Dispatch):
+            async with self._limit():
+                return await drive_async(step.steps, self._answer)
+        return await answer_async(step)
 
+    async def _single_flight(self, call: PreparedCall, key: Hashable | None) -> QueryResult:
         if key is None:
-            return await self._compute(
-                normalized, database, strat, semantics, options, None,
-                deadline=deadline, retry=retry,
-            )
-
-        # Single-flight: concurrent evaluations of one key share one
-        # computation.  The shared computation runs in its own task
-        # behind asyncio.shield, so a cancelled awaiter does not kill it
-        # for the others; the _InFlight refcount cancels the shared task
-        # only when the *last* awaiter is gone, so an abandoned worker
-        # result is never inserted into the cache.
+            return await self._compute(call, None)
+        # Concurrent evaluations of one key share one computation.  The
+        # shared computation runs in its own task behind asyncio.shield,
+        # so a cancelled awaiter does not kill it for the others; the
+        # _InFlight refcount cancels the shared task only when the
+        # *last* awaiter is gone, so an abandoned worker result is never
+        # inserted into the cache.  The deadline and retry policy are
+        # not part of the key: they change whether a computation
+        # finishes, never what it computes.
         created = False
         flight = self._pending.get(key)
         if flight is None or flight.task.cancelled():
             created = True
             flight = _InFlight(
-                asyncio.get_running_loop().create_task(
-                    self._compute(
-                        normalized, database, strat, semantics, options, key,
-                        deadline=deadline, retry=retry,
-                    )
-                )
+                asyncio.get_running_loop().create_task(self._compute(call, key))
             )
             self._pending[key] = flight
             flight.task.add_done_callback(
@@ -615,64 +328,32 @@ class AsyncEngine:
                 flight.task.cancel()
         return result if created else result.as_cached()
 
-    def _discard_flight(self, key: Hashable, flight: "_InFlight") -> None:
+    def _discard_flight(self, key: Hashable, flight: _InFlight) -> None:
         """Drop one in-flight entry, never clobbering a newer one."""
         if self._pending.get(key) is flight:
             del self._pending[key]
 
-    async def _compute(
-        self,
-        normalized: Any,
-        database: Database,
-        strat: Any,
-        semantics: str,
-        options: Mapping[str, Any],
-        key: Hashable,
-        *,
-        deadline: Deadline | None = None,
-        retry: RetryPolicy | None = None,
-    ) -> QueryResult:
-        task = EngineTask(
-            normalized=normalized,
-            database=database,
-            strategy=strat.name,
-            semantics=semantics,
-            options=tuple(options.items()),
-            deadline=deadline,
-            # None when the caller is untraced.  The computation task's
-            # context was copied from the (leader) caller, so the graft
-            # below lands under that caller's live span.
-            trace=SpanContext.capture(),
-        )
-        computed, retries = await self._dispatch_resilient(
-            task, deadline=deadline, retry=retry
+    async def _compute(self, call: PreparedCall, key: Hashable | None) -> QueryResult:
+        # SpanContext.capture() is None when the caller is untraced.  The
+        # computation task's context was copied from the (leader) caller,
+        # so the graft below lands under that caller's live span.
+        task = call.task(trace=SpanContext.capture())
+        (computed,), _, retries = await self._answer(
+            Dispatch(
+                run_tasks(
+                    self._workers,
+                    [task],
+                    deadline=call.deadline,
+                    retry=call.spec.retry,
+                    on_error="retry",
+                )
+            )
         )
         if computed.trace is not None:
-            # Into the live trace only — never into the metadata below,
-            # which may be inserted into the shared result cache.
+            # Into the live trace only — never into the stored result,
+            # which may be shared through the result cache.
             current_span().graft(computed.trace)
-        outcome = computed.outcome
-        metadata = dict(outcome.metadata)
-        if retries:
-            resilience = dict(metadata.get("resilience") or {})
-            resilience["dispatch_retries"] = retries
-            metadata["resilience"] = resilience
-        result = QueryResult(
-            strategy=strat.name,
-            semantics=semantics,
-            relation=outcome.answer,
-            tuples=outcome.annotated,
-            certain=outcome.certain,
-            possible=outcome.possible,
-            certainly_false=outcome.certainly_false,
-            elapsed=computed.elapsed,
-            from_cache=False,
-            fingerprint=normalized.fingerprint,
-            metadata=metadata,
-        )
-        if key is not None:
-            self._engine._cache.put(key, result)
-        return result
+        return self._engine._store(call, key, computed, retries)
 
     async def evaluate_batch(
         self,
@@ -680,13 +361,8 @@ class AsyncEngine:
         database: Database,
         *,
         strategy: str = "naive",
-        semantics: str | None = None,
-        use_cache: bool = True,
         database_fp: str | None = None,
-        shards: int | None = None,
-        executor: Any = None,
-        partitioner: Any = None,
-        **options: Any,
+        **kwargs: Any,
     ) -> list[QueryResult]:
         """Evaluate many queries concurrently on one database.
 
@@ -696,31 +372,9 @@ class AsyncEngine:
         input order.
         """
         self._bind_loop()
-        engine = self._engine
-        sharded = engine._sharded_database(database, shards, partitioner)
-        if sharded is not None:
-            database = sharded
-            shards = None  # already resolved; avoid re-partitioning per query
-        if database_fp is None and use_cache and engine._cache.enabled:
-            database_fp = database_fingerprint(database)
+        database, call = self._engine._batch_calls(database, strategy, database_fp, kwargs)
         return list(
-            await asyncio.gather(
-                *(
-                    self.evaluate(
-                        query,
-                        database,
-                        strategy=strategy,
-                        semantics=semantics,
-                        use_cache=use_cache,
-                        database_fp=database_fp,
-                        shards=shards,
-                        executor=executor,
-                        partitioner=partitioner,
-                        **options,
-                    )
-                    for query in queries
-                )
-            )
+            await asyncio.gather(*(self.evaluate(q, database, **call) for q in queries))
         )
 
     async def compare(
@@ -729,173 +383,52 @@ class AsyncEngine:
         database: Database,
         *,
         strategies: Sequence[str] | None = None,
-        semantics: str | None = None,
-        use_cache: bool = True,
         skip_inapplicable: bool = True,
         database_fp: str | None = None,
-        shards: int | None = None,
-        executor: Any = None,
-        partitioner: Any = None,
-        optimize: bool | None = None,
-        stats: bool | None = None,
-        backend: str | None = None,
-        timeout: float | Deadline | None = None,
-        on_shard_error: str | None = None,
-        retry: RetryPolicy | bool | None = None,
-        trace: bool | None = None,
         options: Mapping[str, Mapping[str, Any]] | None = None,
+        **overrides: Any,
     ) -> dict[str, QueryResult]:
         """Run every applicable strategy concurrently on one query.
 
-        Same contract as :meth:`repro.engine.Engine.compare`; the
-        strategy runs fan out together instead of one after another.
-        Inapplicable strategies (raised either before dispatch or inside
-        a worker) are silently omitted under ``skip_inapplicable``.
-        ``timeout`` is one shared wall-clock budget: every strategy runs
-        under the same deadline, as in the sync ``compare``.
+        Same contract as :meth:`repro.engine.Engine.compare` (one shared
+        deadline included); the strategy runs fan out together instead
+        of one after another.  Inapplicable strategies (raised either
+        before dispatch or inside a worker) are silently omitted under
+        ``skip_inapplicable``.
         """
         self._bind_loop()
-        engine = self._engine
-        # One deadline for the whole comparison, resolved up front so
-        # strategies racing concurrently still share a single budget.
-        deadline = resolve_deadline(timeout, engine.default_timeout)
-        names = tuple(strategies) if strategies is not None else self.strategies()
-        per_strategy = options or {}
-        sharded = engine._sharded_database(database, shards, partitioner)
-        if sharded is not None:
-            database = sharded
-            shards = None
-        if database_fp is None and use_cache and engine._cache.enabled:
-            database_fp = database_fingerprint(database)
+        database, calls = self._engine._compare_calls(
+            database, strategies, database_fp, options, overrides
+        )
 
-        async def run_one(name: str) -> tuple[str, QueryResult | None]:
-            extra = dict(per_strategy.get(name, {}))
-            # A per-strategy {'optimize': ...} / {'stats': ...} /
-            # {'backend': ...} overrides the call-level argument instead
-            # of colliding with it.
-            resolved_optimize = extra.pop("optimize", optimize)
-            resolved_stats = extra.pop("stats", stats)
-            resolved_backend = extra.pop("backend", backend)
+        async def run_one(name: str, call: dict[str, Any]):
             try:
-                result = await self.evaluate(
-                    query,
-                    database,
-                    strategy=name,
-                    semantics=semantics,
-                    use_cache=use_cache,
-                    database_fp=database_fp,
-                    shards=shards,
-                    executor=executor,
-                    partitioner=partitioner,
-                    optimize=resolved_optimize,
-                    stats=resolved_stats,
-                    backend=resolved_backend,
-                    timeout=deadline,
-                    on_shard_error=on_shard_error,
-                    retry=retry,
-                    trace=trace,
-                    **extra,
-                )
+                return name, await self.evaluate(query, database, **call)
             except StrategyNotApplicableError:
                 if not skip_inapplicable:
                     raise
                 return name, None
-            return name, result
 
-        pairs = await asyncio.gather(*(run_one(name) for name in names))
+        pairs = await asyncio.gather(*(run_one(name, call) for name, call in calls))
         return {name: result for name, result in pairs if result is not None}
 
 
-class AsyncSession:
+class AsyncSession(SessionBase):
     """An :class:`AsyncEngine` bound to one database.
 
-    The async mirror of :class:`~repro.engine.core.Session`: memoises
-    the database fingerprint, carries per-session sharding config, and —
-    as an *async* context manager — closes the engine it created (a
-    shared engine survives session exit; as with the sync session, a
-    shared engine also keeps its own ``cache_size``/``default_semantics``/
-    ``optimize``/``stats``/``backend`` configuration — use the per-call
-    ``optimize=``/``stats=``/``backend=`` to override)::
+    The async mirror of :class:`~repro.engine.core.Session` (same
+    keywords, plus ``pool``/``max_workers``/``max_concurrency``):
+    memoises the database fingerprint, carries per-session sharding
+    config, and — as an *async* context manager — closes the engine it
+    created (a shared engine survives session exit and keeps its own
+    configuration; use the per-call keywords to override it)::
 
         async with AsyncSession(database) as session:
             results = await session.compare(query)
     """
 
-    def __init__(
-        self,
-        database: Database,
-        *,
-        engine: AsyncEngine | None = None,
-        cache_size: int = 256,
-        cache: Any = None,
-        default_semantics: str = "set",
-        shards: int | None = None,
-        executor: Any = None,
-        partitioner: Any = None,
-        pool: Any = "process",
-        max_workers: int | None = None,
-        max_concurrency: int | None = None,
-        optimize: bool = True,
-        stats: bool = True,
-        backend: str = "auto",
-        auto_exact_budget: int | None = None,
-        timeout: float | Deadline | None = None,
-        on_shard_error: str = "raise",
-        retry: RetryPolicy | bool | None = None,
-        trace: bool = False,
-    ):
-        self.database = _presharded_database(database, shards, partitioner)
-        self._owns_engine = engine is None
-        self.engine = engine or AsyncEngine(
-            cache_size=cache_size,
-            cache=cache,
-            default_semantics=default_semantics,
-            executor=executor or "serial",
-            pool=pool,
-            max_workers=max_workers,
-            max_concurrency=max_concurrency,
-            optimize=optimize,
-            stats=stats,
-            backend=backend,
-            auto_exact_budget=auto_exact_budget,
-            timeout=timeout,
-            on_shard_error=on_shard_error,
-            retry=retry,
-            trace=trace,
-        )
-        self._executor = executor
-        self._shards = shards
-        self._partitioner = partitioner
-        self._database_fp: str | None = None
-
-    def _fingerprint(self) -> str:
-        if self._database_fp is None:
-            self._database_fp = database_fingerprint(self.database)
-        return self._database_fp
-
-    def with_database(self, database: Database) -> "AsyncSession":
-        """A new session on another database, sharing this session's engine."""
-        from ..sharding.database import ShardedDatabase
-
-        shards = None if isinstance(database, ShardedDatabase) else self._shards
-        session = AsyncSession(
-            database,
-            engine=self.engine,
-            shards=shards,
-            executor=self._executor,
-            partitioner=self._partitioner,
-        )
-        session._shards = self._shards
-        session._partitioner = self._partitioner
-        return session
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Close the engine this session created (shared engines survive)."""
-        if self._owns_engine:
-            self.engine.close()
+    engine_type = AsyncEngine
+    keywords = ENGINE_KEYWORDS | {"pool", "max_workers", "max_concurrency"}
 
     async def aclose(self) -> None:
         if self._owns_engine:
@@ -907,49 +440,6 @@ class AsyncSession:
     async def __aexit__(self, *exc_info) -> None:
         await self.aclose()
 
-    # ------------------------------------------------------------------
-    # Delegation
-    # ------------------------------------------------------------------
-    def _caching(self, kwargs: Mapping[str, Any]) -> bool:
-        return bool(kwargs.get("use_cache", True)) and self.engine.cache_enabled
-
-    async def evaluate(self, query: Any, **kwargs: Any) -> QueryResult:
-        if self._caching(kwargs):
-            kwargs.setdefault("database_fp", self._fingerprint())
-        if self._executor is not None:
-            kwargs.setdefault("executor", self._executor)
-        return await self.engine.evaluate(query, self.database, **kwargs)
-
-    async def evaluate_batch(
-        self, queries: Iterable[Any], **kwargs: Any
-    ) -> list[QueryResult]:
-        if self._caching(kwargs):
-            kwargs.setdefault("database_fp", self._fingerprint())
-        if self._executor is not None:
-            kwargs.setdefault("executor", self._executor)
-        return await self.engine.evaluate_batch(queries, self.database, **kwargs)
-
-    async def compare(self, query: Any, **kwargs: Any) -> dict[str, QueryResult]:
-        if self._caching(kwargs):
-            kwargs.setdefault("database_fp", self._fingerprint())
-        if self._executor is not None:
-            kwargs.setdefault("executor", self._executor)
-        return await self.engine.compare(query, self.database, **kwargs)
-
-    # Small conveniences mirroring the sync session's vocabulary.
-    async def sql(self, query: Any, **kwargs: Any) -> QueryResult:
-        return await self.evaluate(query, strategy="sql-3vl", **kwargs)
-
-    async def naive(self, query: Any, **kwargs: Any) -> QueryResult:
-        return await self.evaluate(query, strategy="naive", **kwargs)
-
-    async def certain(self, query: Any, **kwargs: Any) -> QueryResult:
-        return await self.evaluate(query, strategy="exact-certain", **kwargs)
-
-    async def auto(self, query: Any, **kwargs: Any) -> QueryResult:
-        """Planner-chosen evaluation (``strategy="auto"``)."""
-        return await self.evaluate(query, strategy="auto", **kwargs)
-
     async def explain(self, query: Any, **kwargs: Any) -> str:
         """Evaluate with ``trace=True`` and render the EXPLAIN report.
 
@@ -960,13 +450,3 @@ class AsyncSession:
         """
         kwargs["trace"] = True
         return render_explain(await self.evaluate(query, **kwargs))
-
-    def strategies(self) -> tuple[str, ...]:
-        return self.engine.strategies()
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        return self.engine.cache_stats
-
-    def clear_cache(self) -> None:
-        self.engine.clear_cache()

@@ -9,42 +9,31 @@
     result.certain_rows()          # sound answers
     session.compare(query)         # every applicable strategy side by side
 
-``Engine`` is the stateful dispatcher (registry lookup, normalization,
-timing, result cache); ``Session`` binds an engine to one database and
-memoises the database fingerprint so cache keys are cheap.  Benchmarks,
-workloads and the examples all go through this module; the per-module
-entry points (``incomplete.naive``, ``approx.*``, ``ctables.strategies``,
-``sql.evaluator``) remain available but are deprecated as *public* API.
-
-Sharding: ``Engine(shards=4, executor="process")`` (or per call,
-``evaluate(query, db, shards=4)``) partitions the database horizontally
-and evaluates distributable plans shard-by-shard in parallel, unioning
-the partial results — see :mod:`repro.sharding`.  Passing a
-:class:`~repro.sharding.ShardedDatabase` enables the sharded path
-automatically; ``shards=0`` forces monolithic evaluation.
+An evaluation is one pipeline of plain steps, written once and shared
+with :class:`~repro.engine.aio.AsyncEngine`: :meth:`Engine._prepare`
+resolves the call's :class:`~repro.engine.spec.CallSpec` and does all of
+the setup (normalize, auto-plan, fold options, deadline admission,
+sharding); the monolithic path probes the cache, computes a miss and
+stores the result; sharded databases go through
+:func:`repro.sharding.evaluate.evaluate_sharded`; the plan/backend/trace
+notes and metrics are attached afterwards.  ``Engine`` drives the steps
+inline (:func:`repro.engine.drive.drive`).  ``Session`` binds an engine
+to one database and memoises the database fingerprint.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
-from typing import Any, Iterable, Mapping, Sequence
-
-from dataclasses import replace
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, replace
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..datamodel.database import Database
-from ..exec import interpreter_note, validate_backend
+from ..exec import interpreter_note
 from ..obs import metrics as obs_metrics
 from ..obs.explain import render_explain
-from ..obs.trace import span, start_trace
-from ..resilience import (
-    Deadline,
-    RetryPolicy,
-    breaker_snapshots,
-    deadline_scope,
-    resolve_deadline,
-    resolve_retry,
-)
+from ..obs.trace import Span, SpanContext, span, start_trace
+from ..resilience import Deadline, breaker_snapshots, deadline_scope, resolve_deadline
 from .cache import (
     CacheBackend,
     CacheStats,
@@ -52,20 +41,146 @@ from .cache import (
     evaluation_cache_key,
     resolve_cache_backend,
 )
-from .errors import EngineError, StrategyNotApplicableError
+from .drive import Compute, Dispatch, answer_sync, drive
+from .errors import StrategyNotApplicableError
 from .frontend import NormalizedQuery, normalize_query
 from .planner import AUTO, PlanDecision, choose_strategy, default_exact_budget
-from .registry import available_strategies, get_strategy
+from .registry import EvaluationStrategy, StrategyOutcome, available_strategies, get_strategy
 from .result import QueryResult
+from .spec import CALL_FIELDS, ENGINE_KEYWORDS, CallSpec, check_settings
 
-__all__ = ["Engine", "Session", "default_engine", "evaluate"]
+__all__ = [
+    "Engine",
+    "Session",
+    "EngineTask",
+    "PreparedCall",
+    "default_engine",
+    "evaluate",
+    "run_engine_task",
+]
 
-_SEMANTICS = ("set", "bag")
-_ON_SHARD_ERROR = ("raise", "retry", "degrade")
+
+@dataclass(frozen=True)
+class EngineTask:
+    """One monolithic evaluation, self-contained and picklable.
+
+    Everything a worker needs: the normalized query (frozen dataclasses
+    all the way down), the database, and the strategy resolved by name
+    inside the worker — mirroring
+    :class:`~repro.sharding.executor.ShardTask`.
+    """
+
+    normalized: Any
+    database: Database
+    strategy: str
+    semantics: str
+    options: tuple[tuple[str, Any], ...] = ()
+    #: Wall-clock budget carried to the worker (compare=False like
+    #: :class:`~repro.sharding.executor.ShardTask`: a deadline changes
+    #: whether a task finishes, never what it computes).
+    deadline: Deadline | None = field(default=None, compare=False)
+    #: Trace linkage (:class:`repro.obs.SpanContext`) when the caller
+    #: evaluates with ``trace=True`` on a worker pool: the worker records
+    #: its own span tree and ships the export back on the task result,
+    #: where the caller grafts it into the live trace.  Excluded from
+    #: equality like the deadline — tracing observes, never steers.
+    trace: SpanContext | None = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class EngineTaskResult:
+    """A strategy outcome plus the worker-side wall-clock time."""
+
+    outcome: StrategyOutcome
+    elapsed: float
+    #: The worker's exported span tree (None when the task was untraced).
+    trace: Any = None
+
+
+def run_engine_task(task: EngineTask) -> EngineTaskResult:
+    """Evaluate one engine task; also the worker-process entry point.
+
+    Unpickling the task in a spawned worker imports this module, which
+    runs ``repro.engine.__init__`` and thereby registers the built-in
+    strategies before the lookup by name (the ``run_shard_task``
+    pattern).
+    """
+    strategy = get_strategy(task.strategy)
+    with (
+        nullcontext(None)
+        if task.trace is None
+        else task.trace.activate("worker", strategy=task.strategy)
+    ) as root:
+        start = time.perf_counter()
+        # The deadline travels implicitly (context variable), never in
+        # ``options``: it must not reach strategy option validation or
+        # the cache key.
+        with deadline_scope(task.deadline):
+            outcome = strategy.run(
+                task.normalized,
+                task.database,
+                semantics=task.semantics,
+                **dict(task.options),
+            )
+        elapsed = time.perf_counter() - start
+        if root is not None:
+            root.incr("rows_out", len(outcome.answer))
+    return EngineTaskResult(
+        outcome=outcome,
+        elapsed=elapsed,
+        trace=None if root is None else root.export(),
+    )
+
+
+@dataclass(eq=False)
+class PreparedCall:
+    """One evaluation after :meth:`Engine._prepare`: everything resolved."""
+
+    spec: CallSpec
+    strategy: EvaluationStrategy
+    normalized: NormalizedQuery
+    #: The ``strategy="auto"`` decision (``None`` for explicit calls).
+    decision: PlanDecision | None
+    #: Strategy options with the resolved optimize/stats/backend folded in.
+    options: Mapping[str, Any]
+    #: What the call runs on: the sharded view when ``sharded``.
+    database: Database
+    sharded: bool
+    database_fp: str | None
+    deadline: Deadline | None
+    #: The result cache, or ``None`` when this call bypasses it.
+    cache: CacheBackend | None
+    #: The call's explicit ``backend=`` (for the post-hoc backend note).
+    requested_backend: str | None
+    #: The trace root when ``spec.trace`` is on.
+    root: Span | None
+
+    def task(self, trace: SpanContext | None = None) -> EngineTask:
+        return EngineTask(
+            normalized=self.normalized,
+            database=self.database,
+            strategy=self.strategy.name,
+            semantics=self.spec.semantics,
+            options=tuple(self.options.items()),
+            deadline=self.deadline,
+            trace=trace,
+        )
 
 
 class Engine:
-    """Evaluates queries through registered strategies, with caching."""
+    """Evaluates queries through registered strategies, with caching.
+
+    Besides ``cache_size``/``cache`` (the result-cache backend: the
+    in-memory LRU, ``"disk:/path"`` or a
+    :class:`~repro.engine.cache.CacheBackend`), ``default_semantics``
+    and ``auto_exact_budget`` (the valuation-space budget under which
+    ``strategy="auto"`` may pick ``exact-certain``), the constructor
+    takes a default for every per-call setting of
+    :class:`~repro.engine.spec.CallSpec` — ``optimize``, ``stats``,
+    ``backend``, ``timeout``, ``on_shard_error``, ``retry``, ``trace``,
+    ``shards``, ``executor``, ``partitioner`` — held as
+    :attr:`defaults` (also readable as ``engine.default_<name>``).
+    """
 
     def __init__(
         self,
@@ -73,86 +188,23 @@ class Engine:
         cache_size: int = 256,
         cache: Any = None,
         default_semantics: str = "set",
-        shards: int | None = None,
-        executor: Any = "serial",
-        partitioner: Any = None,
-        optimize: bool = True,
-        stats: bool = True,
-        backend: str = "auto",
         auto_exact_budget: int | None = None,
-        timeout: float | None = None,
-        on_shard_error: str = "raise",
-        retry: Any = None,
-        trace: bool = False,
+        **defaults: Any,
     ):
-        if default_semantics not in _SEMANTICS:
-            raise EngineError(
-                f"unknown semantics {default_semantics!r}; expected 'set' or 'bag'"
-            )
-        validate_backend(backend)
-        if shards is not None and shards < 0:
-            raise EngineError("shards must be a non-negative integer or None")
-        if on_shard_error not in _ON_SHARD_ERROR:
-            raise EngineError(
-                f"unknown on_shard_error {on_shard_error!r}; "
-                f"expected one of {_ON_SHARD_ERROR}"
-            )
-        self.default_semantics = default_semantics
-        self.default_shards = shards
-        self.default_executor = executor
-        self.default_partitioner = partitioner
-        #: Default for the per-call ``optimize=`` option: run the plan
-        #: optimizer (:mod:`repro.algebra.optimize`) inside every
-        #: strategy that supports it.  ``Engine(optimize=False)`` or
-        #: ``evaluate(..., optimize=False)`` is the escape hatch back to
-        #: the textbook plans.
-        self.default_optimize = bool(optimize)
-        #: Default for the per-call ``stats=`` option: feed the optimizer
-        #: per-relation statistics (:mod:`repro.algebra.stats`) so the
-        #: physical plan — join order, hash build sides — is chosen by
-        #: estimated cost.  ``Engine(stats=False)`` or ``evaluate(...,
-        #: stats=False)`` is the escape hatch back to heuristic-only
-        #: planning; stats never change answers, only costs.
-        self.default_stats = bool(stats)
-        #: Default for the per-call ``backend=`` option: which execution
-        #: backend (:mod:`repro.exec`) runs the algebra plans of
-        #: strategies that declare more than the interpreter.  ``"auto"``
-        #: pushes expressible plans into SQLite and falls back to the
-        #: interpreter otherwise (the decision lands in
-        #: ``result.metadata["backend"]``); ``Engine(backend=
-        #: "interpreter")`` or ``evaluate(..., backend="interpreter")``
-        #: is the escape hatch back to the tree-walking evaluator.
-        self.default_backend = backend
-        #: Valuation-space budget under which ``strategy="auto"`` may
-        #: pick ``exact-certain``; ``None`` uses the planner default
+        #: The settings every call starts from; per-call keywords
+        #: override them field by field.
+        self.defaults = CallSpec.from_settings(default_semantics, defaults)
+        #: ``None`` uses the planner default
         #: (:data:`repro.engine.planner.DEFAULT_EXACT_BUDGET`).
         self.auto_exact_budget = auto_exact_budget
-        #: Default wall-clock budget in seconds for every ``evaluate``
-        #: call (``None`` = unbounded); per-call ``timeout=`` overrides.
-        #: See :mod:`repro.resilience` — evaluations that blow the
-        #: budget raise :class:`~repro.resilience.DeadlineExceeded`.
-        self.default_timeout = timeout
-        #: What a failed shard does to a sharded evaluation: ``"raise"``
-        #: fails the request, ``"retry"`` retries transient failures
-        #: before failing, ``"degrade"`` additionally drops failed
-        #: shards and returns the surviving merge when the query's
-        #: fragment makes that a sound under-approximation.
-        self.default_on_shard_error = on_shard_error
-        #: The engine's :class:`~repro.resilience.RetryPolicy` for
-        #: transient failures (``None``/``True`` = the package default,
-        #: ``False`` = no retries).
-        self.default_retry = resolve_retry(retry)
-        #: Default for the per-call ``trace=`` option: collect a span
-        #: tree (:mod:`repro.obs`) for every evaluation and attach it as
-        #: ``result.metadata["trace"]``.  Tracing observes and never
-        #: steers — the flag enters neither strategy options nor cache
-        #: keys, so traced and untraced calls share cache entries.
-        self.default_trace = bool(trace)
-        #: The result-cache backend: the in-memory LRU by default, a
-        #: persistent one with ``cache="disk:/path"`` or a
-        #: :class:`~repro.engine.cache.CacheBackend` instance.
         self._cache = resolve_cache_backend(cache, cache_size=cache_size)
         self._executors: dict[Any, Any] = {}
+
+    def __getattr__(self, name: str) -> Any:
+        # ``engine.default_optimize`` etc. read the default spec.
+        if name.startswith("default_") and name[8:] in CALL_FIELDS:
+            return getattr(self.defaults, name[8:])
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # ------------------------------------------------------------------
     # Introspection
@@ -179,6 +231,7 @@ class Engine:
                 "aliases": list(strat.aliases),
                 **caps.as_dict(),
             }
+        spec = self.defaults
         return {
             "strategies": strategies,
             "cache": {
@@ -187,32 +240,32 @@ class Engine:
                 "stats": self.cache_stats,
             },
             "defaults": {
-                "semantics": self.default_semantics,
-                "optimize": self.default_optimize,
-                "stats": self.default_stats,
-                "backend": self.default_backend,
-                "shards": self.default_shards,
-                "executor": self.default_executor,
+                "semantics": spec.semantics,
+                "optimize": spec.optimize,
+                "stats": spec.stats,
+                "backend": spec.backend,
+                "shards": spec.shards,
+                "executor": spec.executor,
                 "auto_exact_budget": (
                     default_exact_budget()
                     if self.auto_exact_budget is None
                     else self.auto_exact_budget
                 ),
-                "timeout": self.default_timeout,
-                "on_shard_error": self.default_on_shard_error,
+                "timeout": spec.timeout,
+                "on_shard_error": spec.on_shard_error,
                 "retry": (
                     None
-                    if self.default_retry is None
+                    if spec.retry is None
                     else {
-                        "max_attempts": self.default_retry.max_attempts,
-                        "base_delay": self.default_retry.base_delay,
-                        "max_delay": self.default_retry.max_delay,
+                        "max_attempts": spec.retry.max_attempts,
+                        "base_delay": spec.retry.base_delay,
+                        "max_delay": spec.retry.max_delay,
                     }
                 ),
-                "trace": self.default_trace,
+                "trace": spec.trace,
             },
             "observability": {
-                "trace_default": self.default_trace,
+                "trace_default": spec.trace,
                 "metrics_enabled": obs_metrics.metrics_enabled(),
                 "metrics": obs_metrics.snapshot(),
                 "breakers": breaker_snapshots(),
@@ -261,27 +314,17 @@ class Engine:
         database: Database,
         *,
         strategy: str = "naive",
-        semantics: str | None = None,
-        use_cache: bool = True,
         database_fp: str | None = None,
-        shards: int | None = None,
-        executor: Any = None,
-        partitioner: Any = None,
-        optimize: bool | None = None,
-        stats: bool | None = None,
-        backend: str | None = None,
-        timeout: float | Deadline | None = None,
-        on_shard_error: str | None = None,
-        retry: RetryPolicy | bool | None = None,
-        trace: bool | None = None,
-        **options: Any,
+        **kwargs: Any,
     ) -> QueryResult:
         """Evaluate ``query`` on ``database`` with the named strategy.
 
         ``query`` may be an SQL string, an SQL/algebra/calculus AST, or an
         :class:`FoQuery` — see :func:`repro.engine.normalize_query`.
-        Options beyond the standard ones are passed to the strategy (e.g.
-        ``variant="aware"`` for ``ctables``).
+        Keywords naming a :class:`~repro.engine.spec.CallSpec` field
+        override the engine default for this call (``None`` keeps it);
+        any other keyword is a strategy option (e.g. ``variant="aware"``
+        for ``ctables``).
 
         ``shards``/``executor``/``partitioner`` control sharded
         evaluation (:mod:`repro.sharding`): ``shards=N`` partitions a
@@ -292,12 +335,11 @@ class Engine:
 
         ``optimize`` toggles the plan optimizer
         (:mod:`repro.algebra.optimize`) for strategies that support it;
-        ``None`` uses the engine default (on).  The resolved value is
-        part of the result-cache key, so optimized and unoptimized
-        results never alias.  ``stats`` likewise toggles statistics-fed
-        cost-based planning (:mod:`repro.algebra.stats`) for strategies
-        that declare the capability — estimates pick join orders and
-        hash build sides but can never change answers.
+        the resolved value is part of the result-cache key, so optimized
+        and unoptimized results never alias.  ``stats`` likewise toggles
+        statistics-fed cost-based planning (:mod:`repro.algebra.stats`)
+        for strategies that declare the capability — estimates pick join
+        orders and hash build sides but can never change answers.
 
         ``backend`` picks the execution backend (:mod:`repro.exec`) for
         strategies that run whole algebra plans: ``"auto"`` (the engine
@@ -318,12 +360,13 @@ class Engine:
 
         ``timeout`` is a wall-clock budget in seconds (or an existing
         :class:`~repro.resilience.Deadline`, so one deadline can bound a
-        whole batch); when it runs out the evaluation aborts with
-        :class:`~repro.resilience.DeadlineExceeded` — at evaluator plan
-        nodes, inside ``Dom^k`` enumerations, in the SQLite backend's
-        progress handler, and at shard fan-out boundaries.  Deadlines
-        never enter cache keys: a result computed under a deadline is
-        the same result.
+        whole batch); a budget already gone fails at admission, before
+        the cache is consulted, and a budget that runs out mid-way
+        aborts with :class:`~repro.resilience.DeadlineExceeded` — at
+        evaluator plan nodes, inside ``Dom^k`` enumerations, in the
+        SQLite backend's progress handler, and at worker fan-out
+        boundaries.  Deadlines never enter cache keys: a result computed
+        under a deadline is the same result.
 
         ``on_shard_error`` governs sharded evaluation when a shard
         fails: ``"raise"`` (default) propagates the failure,
@@ -343,172 +386,203 @@ class Engine:
         keys: tracing can describe an answer but never change it.
         Stored cache entries carry no trace; the returned copy does.
         """
-        do_trace = self.default_trace if trace is None else bool(trace)
-        with (start_trace("evaluate") if do_trace else nullcontext()) as root:
-            strat, semantics, normalized, decision = self._prepare_call(
-                query, database, strategy, semantics
-            )
-            options = self._resolve_options(strat, optimize, stats, backend, options)
-            deadline = resolve_deadline(timeout, self.default_timeout)
-            if on_shard_error is None:
-                on_shard_error = self.default_on_shard_error
-            elif on_shard_error not in _ON_SHARD_ERROR:
-                raise EngineError(
-                    f"unknown on_shard_error {on_shard_error!r}; "
-                    f"expected one of {_ON_SHARD_ERROR}"
-                )
-            retry_policy = self.default_retry if retry is None else resolve_retry(retry)
-            if deadline is not None:
-                # Admission check: a request whose budget is already gone must
-                # fail here, not race the backend (a tiny SQLite statement can
-                # finish before the progress handler ever fires).
-                deadline.check("evaluation admission")
-            sharded = self._sharded_database(database, shards, partitioner)
-            if root is not None:
-                root.set_attr("strategy", strat.name)
-                root.set_attr("semantics", semantics)
-            if sharded is not None:
-                from ..sharding.evaluate import evaluate_sharded
-
-                result = evaluate_sharded(
-                    normalized,
-                    sharded,
-                    strat,
-                    semantics=semantics,
-                    options=options,
-                    executor=self._shard_executor(executor),
-                    cache=self._cache if use_cache and self._cache.enabled else None,
-                    database_fp=database_fp,
-                    deadline=deadline,
-                    on_shard_error=on_shard_error,
-                    retry=retry_policy,
-                    evaluate_coalesced=lambda: self._evaluate_monolithic(
-                        normalized,
-                        sharded,
-                        strat,
-                        semantics,
-                        use_cache=use_cache,
-                        database_fp=database_fp,
-                        options=options,
-                        deadline=deadline,
-                    ),
-                )
-            else:
-                result = self._evaluate_monolithic(
-                    normalized,
-                    database,
-                    strat,
-                    semantics,
-                    use_cache=use_cache,
-                    database_fp=database_fp,
-                    options=options,
-                    deadline=deadline,
-                )
-        obs_metrics.incr("engine.evaluations", strategy=strat.name)
-        obs_metrics.observe(
-            "engine.elapsed_ms", result.elapsed * 1000.0, strategy=strat.name
+        return drive(
+            self._steps(query, database, strategy, database_fp, kwargs), self._answer
         )
-        result = _with_plan_metadata(result, decision)
-        result = _with_backend_note(result, strat, backend)
-        if root is not None:
-            # Attached post-hoc like the plan/backend notes: the cached
-            # entry carries no trace, the returned copy does.
-            result = replace(
-                result, metadata={**result.metadata, "trace": root.export()}
-            )
-        return result
 
-    def _prepare_call(
+    def _answer(self, step: Any) -> Any:
+        """The sync driver: compute misses inline, block on futures."""
+        if isinstance(step, Compute):
+            with span("execute", strategy=step.call.strategy.name) as execute:
+                computed = run_engine_task(step.call.task())
+                execute.incr("rows_out", len(computed.outcome.answer))
+            return self._store(step.call, step.key, computed)
+        if isinstance(step, Dispatch):
+            return drive(step.steps, self._answer)
+        return answer_sync(step)
+
+    # -- the pipeline, shared with AsyncEngine -------------------------
+    def _steps(
         self,
         query: Any,
         database: Database,
         strategy: str,
-        semantics: str | None,
+        database_fp: str | None,
+        kwargs: dict[str, Any],
     ):
-        """The shared evaluate prologue: validate, normalize, plan.
+        """The evaluate pipeline as steps (see :mod:`repro.engine.drive`)."""
+        with self._prepare(query, database, strategy, database_fp, kwargs) as call:
+            if call.sharded:
+                from ..sharding.evaluate import evaluate_sharded
 
-        Used by both this engine and :class:`~repro.engine.aio.AsyncEngine`
-        so the twins cannot drift on validation, planning, or error
-        wording.  Returns ``(strategy, semantics, normalized, decision)``
-        where ``decision`` is the :class:`~repro.engine.planner.PlanDecision`
-        for ``strategy="auto"`` calls and ``None`` for explicit ones.
-        """
-        semantics = semantics or self.default_semantics
-        if semantics not in _SEMANTICS:
-            raise EngineError(
-                f"unknown semantics {semantics!r}; expected 'set' or 'bag'"
-            )
-        with span("normalize"):
-            normalized = normalize_query(query, database.schema())
-        decision: PlanDecision | None = None
-        if strategy == AUTO:
-            with span("plan") as planning:
-                decision = choose_strategy(
-                    normalized,
-                    database,
-                    semantics=semantics,
-                    exact_budget=self.auto_exact_budget,
+                result = yield from evaluate_sharded(
+                    call,
+                    executor=self._shard_executor(call.spec.executor),
+                    coalesced=lambda: self._monolithic(call),
                 )
-                planning.set_attr("chosen", decision.strategy)
-                planning.set_attr("reason", decision.reason)
-            strategy = decision.strategy
-        strat = get_strategy(strategy)
-        if semantics not in strat.supported_semantics:
-            raise StrategyNotApplicableError(
-                f"strategy {strat.name!r} supports {strat.supported_semantics} "
-                f"semantics, not {semantics!r}"
-            )
-        return strat, semantics, normalized, decision
+            else:
+                result = yield from self._monolithic(call)
+        return self._annotate(call, result)
 
-    def _resolve_options(
+    @contextmanager
+    def _prepare(
         self,
-        strat: Any,
-        optimize: bool | None,
-        stats: bool | None,
-        backend: str | None,
-        options: Mapping[str, Any],
-    ) -> dict[str, Any]:
-        """Fold the resolved ``optimize``/``stats``/``backend`` settings
-        into the options.
+        query: Any,
+        database: Database,
+        strategy: str,
+        database_fp: str | None,
+        kwargs: dict[str, Any],
+    ) -> Iterator[PreparedCall]:
+        """Resolve one call: spec, trace root, normalization, planning,
+        options, deadline admission and sharding.
 
-        Only strategies declaring ``supports_optimize`` (respectively
-        ``supports_stats``, a multi-entry ``backends`` record) receive
-        the option (and hence carry it in their cache keys); for the
-        others the result cannot depend on it, so leaving it out keeps
-        their keys stable and their option validation strict.  Shared
-        with :class:`~repro.engine.aio.AsyncEngine` so the twins agree
-        on keys and worker-task options.
+        ``kwargs`` holds the call's :class:`CallSpec` overrides and its
+        strategy options; the trace root (when tracing) stays open for
+        the ``with`` body.
         """
-        options = dict(options)
-        if getattr(strat, "supports_optimize", False):
-            resolved = self.default_optimize if optimize is None else bool(optimize)
-            options.setdefault("optimize", resolved)
-        if getattr(strat, "supports_stats", False):
-            resolved = self.default_stats if stats is None else bool(stats)
-            options.setdefault("stats", resolved)
-        resolved_backend = self.default_backend if backend is None else backend
-        validate_backend(resolved_backend)
-        supported = getattr(strat, "supported_backends", ("interpreter",))
-        if len(supported) > 1:
-            options.setdefault("backend", resolved_backend)
-        elif resolved_backend == "sqlite":
-            # An explicit pushdown demand on an interpreter-only strategy
-            # cannot be honoured; raise the skippable error so compare()
-            # omits the strategy instead of silently running elsewhere.
-            raise StrategyNotApplicableError(
-                f"strategy {strat.name!r} supports backends {supported}, "
-                "not 'sqlite'; use backend='auto' or backend='interpreter'"
+        overrides = {name: kwargs.pop(name) for name in CALL_FIELDS.intersection(kwargs)}
+        spec = self.defaults.override(overrides)
+        with (start_trace("evaluate") if spec.trace else nullcontext()) as root:
+            with span("normalize"):
+                normalized = normalize_query(query, database.schema())
+            decision: PlanDecision | None = None
+            if strategy == AUTO:
+                with span("plan") as planning:
+                    decision = choose_strategy(
+                        normalized,
+                        database,
+                        semantics=spec.semantics,
+                        exact_budget=self.auto_exact_budget,
+                    )
+                    planning.set_attr("chosen", decision.strategy)
+                    planning.set_attr("reason", decision.reason)
+                strategy = decision.strategy
+            strat = get_strategy(strategy)
+            if spec.semantics not in strat.supported_semantics:
+                raise StrategyNotApplicableError(
+                    f"strategy {strat.name!r} supports {strat.supported_semantics} "
+                    f"semantics, not {spec.semantics!r}"
+                )
+            options = _fold_options(strat, spec, kwargs)
+            deadline = resolve_deadline(spec.timeout)
+            if deadline is not None:
+                # Admission check: a request whose budget is already gone
+                # fails here — before the cache probe, and without racing
+                # the backend (a tiny SQLite statement can finish before
+                # the progress handler ever fires).
+                deadline.check("evaluation admission")
+            sharded = self._shard_view(
+                database, overrides.get("shards"), overrides.get("partitioner")
             )
-        return options
+            if root is not None:
+                root.set_attr("strategy", strat.name)
+                root.set_attr("semantics", spec.semantics)
+            yield PreparedCall(
+                spec=spec,
+                strategy=strat,
+                normalized=normalized,
+                decision=decision,
+                options=options,
+                database=database if sharded is None else sharded,
+                sharded=sharded is not None,
+                database_fp=database_fp,
+                deadline=deadline,
+                cache=self._cache if spec.use_cache and self._cache.enabled else None,
+                requested_backend=overrides.get("backend"),
+                root=root,
+            )
 
-    def _sharded_database(
-        self, database: Database, shards: int | None, partitioner: Any
-    ):
+    def _monolithic(self, call: PreparedCall):
+        """Cache probe, then (on a miss) a :class:`Compute` step."""
+        key = None
+        if call.cache is not None:
+            with span("cache.lookup") as lookup:
+                database_fp = call.database_fp
+                if database_fp is None:
+                    database_fp = database_fingerprint(call.database)
+                key = evaluation_cache_key(
+                    call.normalized.fingerprint,
+                    database_fp,
+                    call.strategy.name,
+                    call.spec.semantics,
+                    call.options,
+                )
+                cached = call.cache.get(key)
+                lookup.set_attr("outcome", "hit" if cached is not None else "miss")
+            if cached is not None:
+                return cached.as_cached()
+        return (yield Compute(call, key))
+
+    def _store(
+        self,
+        call: PreparedCall,
+        key: Hashable | None,
+        computed: EngineTaskResult,
+        retries: int = 0,
+    ) -> QueryResult:
+        """Build the result of a computed miss and put it in the cache.
+
+        A failed computation never gets here, so partial work (a blown
+        deadline, a cancelled await) never poisons the cache.
+        """
+        outcome = computed.outcome
+        metadata = dict(outcome.metadata)
+        if retries:
+            resilience = dict(metadata.get("resilience") or {})
+            resilience["dispatch_retries"] = retries
+            metadata["resilience"] = resilience
+        result = QueryResult(
+            strategy=call.strategy.name,
+            semantics=call.spec.semantics,
+            relation=outcome.answer,
+            tuples=outcome.annotated,
+            certain=outcome.certain,
+            possible=outcome.possible,
+            certainly_false=outcome.certainly_false,
+            elapsed=computed.elapsed,
+            from_cache=False,
+            fingerprint=call.normalized.fingerprint,
+            metadata=metadata,
+        )
+        if key is not None:
+            call.cache.put(key, result)
+        return result
+
+    @staticmethod
+    def _annotate(call: PreparedCall, result: QueryResult) -> QueryResult:
+        """Metrics, then the plan/backend/trace notes.
+
+        Attached *after* evaluation (and after any cache hit), so auto
+        and explicit, traced and untraced calls share cache entries —
+        the stored result carries no notes, the returned copy does.
+        """
+        name = call.strategy.name
+        obs_metrics.incr("engine.evaluations", strategy=name)
+        obs_metrics.observe("engine.elapsed_ms", result.elapsed * 1000.0, strategy=name)
+        notes: dict[str, Any] = {}
+        if call.decision is not None:
+            notes["plan"] = call.decision.as_metadata()
+        if call.requested_backend is not None and "backend" not in result.metadata:
+            # Strategies that route plans through repro.exec record the
+            # requested/resolved pair themselves; an explicit request on
+            # an interpreter-only path still deserves an answer.
+            notes["backend"] = interpreter_note(
+                call.requested_backend,
+                f"strategy {name!r} executes on the interpreter only",
+            )
+        if call.root is not None:
+            notes["trace"] = call.root.export()
+        if not notes:
+            return result
+        return replace(result, metadata={**result.metadata, **notes})
+
+    def _shard_view(self, database: Database, shards: int | None, partitioner: Any):
         """Resolve the sharded view of this call, or None for monolithic.
 
-        An already-sharded database is used as-is unless the *caller*
-        explicitly asks for a different shard count — the engine default
-        never re-partitions a database somebody partitioned on purpose.
+        ``shards``/``partitioner`` are the *call's* explicit values: an
+        already-sharded database is used as-is unless the caller asks
+        for a different shard count — the engine default never
+        re-partitions a database somebody partitioned on purpose.
         """
         from ..sharding.database import ShardedDatabase
 
@@ -526,19 +600,17 @@ class Engine:
                 partitioner or database.partitioner,
             )
         if shards is None:
-            shards = self.default_shards
+            shards = self.defaults.shards
         if not shards:
             return None
         return ShardedDatabase.from_database(
-            database, shards, partitioner or self.default_partitioner
+            database, shards, partitioner or self.defaults.partitioner
         )
 
     def _shard_executor(self, spec: Any):
         """Resolve (and memoise) the shard executor for this call."""
         from ..sharding.executor import ShardExecutor, resolve_executor
 
-        if spec is None:
-            spec = self.default_executor
         if isinstance(spec, ShardExecutor):
             return spec
         executor = self._executors.get(spec)
@@ -547,59 +619,60 @@ class Engine:
             self._executors[spec] = executor
         return executor
 
-    def _evaluate_monolithic(
-        self,
-        normalized: Any,
-        database: Database,
-        strat: Any,
-        semantics: str,
-        *,
-        use_cache: bool,
-        database_fp: str | None,
-        options: Mapping[str, Any],
-        deadline: Deadline | None = None,
-    ) -> QueryResult:
-        key = None
-        if use_cache and self._cache.enabled:
-            with span("cache.lookup") as lookup:
-                if database_fp is None:
-                    database_fp = database_fingerprint(database)
-                key = evaluation_cache_key(
-                    normalized.fingerprint, database_fp, strat.name, semantics, options
-                )
-                cached = self._cache.get(key)
-                lookup.set_attr("outcome", "hit" if cached is not None else "miss")
-            if cached is not None:
-                return cached.as_cached()
+    # -- batch and compare: one call builder each ------------------------
+    def _shared(
+        self, database: Database, database_fp: str | None, kwargs: Mapping[str, Any]
+    ) -> tuple[Database, dict[str, Any]]:
+        """What a batch or comparison resolves once for all its calls:
+        the shard view (partitioned once) and the database fingerprint
+        (hashed once)."""
+        kwargs = dict(kwargs)
+        sharded = self._shard_view(database, kwargs.get("shards"), kwargs.get("partitioner"))
+        if sharded is not None:
+            database = sharded
+            kwargs["shards"] = None  # resolved; avoid re-partitioning per call
+        if database_fp is None and kwargs.get("use_cache", True) and self.cache_enabled:
+            database_fp = database_fingerprint(database)
+        kwargs["database_fp"] = database_fp
+        return database, kwargs
 
-        start = time.perf_counter()
-        # The deadline travels implicitly (context variable), never in
-        # ``options``: it must not reach strategy option validation or
-        # the cache key above.  A DeadlineExceeded propagates before the
-        # cache put below, so partial work never poisons the cache.
-        with span("execute", strategy=strat.name) as execute:
-            with deadline_scope(deadline):
-                outcome = strat.run(
-                    normalized, database, semantics=semantics, **options
-                )
-            execute.incr("rows_out", len(outcome.answer))
-        elapsed = time.perf_counter() - start
-        result = QueryResult(
-            strategy=strat.name,
-            semantics=semantics,
-            relation=outcome.answer,
-            tuples=outcome.annotated,
-            certain=outcome.certain,
-            possible=outcome.possible,
-            certainly_false=outcome.certainly_false,
-            elapsed=elapsed,
-            from_cache=False,
-            fingerprint=normalized.fingerprint,
-            metadata=dict(outcome.metadata),
+    def _batch_calls(
+        self,
+        database: Database,
+        strategy: str,
+        database_fp: str | None,
+        kwargs: Mapping[str, Any],
+    ) -> tuple[Database, dict[str, Any]]:
+        """The shared database and the keywords of every query's call."""
+        database, kwargs = self._shared(database, database_fp, kwargs)
+        return database, {**kwargs, "strategy": strategy}
+
+    def _compare_calls(
+        self,
+        database: Database,
+        strategies: Sequence[str] | None,
+        database_fp: str | None,
+        options: Mapping[str, Mapping[str, Any]] | None,
+        overrides: Mapping[str, Any],
+    ) -> tuple[Database, list[tuple[str, dict[str, Any]]]]:
+        """The shared database and one call's keywords per strategy.
+
+        The ``timeout`` is resolved to one deadline up front and shared
+        by every strategy; a per-strategy entry in ``options`` (an
+        ``optimize``/``stats``/``backend`` override or a strategy
+        option) wins over the call-level keyword.
+        """
+        check_settings("compare", overrides, CALL_FIELDS)
+        deadline = resolve_deadline(overrides.get("timeout"), self.defaults.timeout)
+        database, shared = self._shared(
+            database, database_fp, {**overrides, "timeout": deadline}
         )
-        if key is not None:
-            self._cache.put(key, result)
-        return result
+        names = tuple(strategies) if strategies is not None else self.strategies()
+        per_strategy = options or {}
+        return database, [
+            (name, {**shared, "strategy": name, **per_strategy.get(name, {})})
+            for name in names
+        ]
 
     def evaluate_batch(
         self,
@@ -607,42 +680,16 @@ class Engine:
         database: Database,
         *,
         strategy: str = "naive",
-        semantics: str | None = None,
-        use_cache: bool = True,
-        shards: int | None = None,
-        executor: Any = None,
-        partitioner: Any = None,
-        **options: Any,
+        database_fp: str | None = None,
+        **kwargs: Any,
     ) -> list[QueryResult]:
         """Evaluate many queries on one database, hashing the database once.
 
         With sharding, the database is also partitioned once up front
         rather than per query.
         """
-        sharded = self._sharded_database(database, shards, partitioner)
-        if sharded is not None:
-            database = sharded
-            shards = None  # already resolved; avoid re-partitioning per query
-        database_fp = (
-            database_fingerprint(database)
-            if use_cache and self._cache.enabled
-            else None
-        )
-        return [
-            self.evaluate(
-                query,
-                database,
-                strategy=strategy,
-                semantics=semantics,
-                use_cache=use_cache,
-                database_fp=database_fp,
-                shards=shards,
-                executor=executor,
-                partitioner=partitioner,
-                **options,
-            )
-            for query in queries
-        ]
+        database, call = self._batch_calls(database, strategy, database_fp, kwargs)
+        return [self.evaluate(query, database, **call) for query in queries]
 
     def compare(
         self,
@@ -650,28 +697,19 @@ class Engine:
         database: Database,
         *,
         strategies: Sequence[str] | None = None,
-        semantics: str | None = None,
-        use_cache: bool = True,
         skip_inapplicable: bool = True,
         database_fp: str | None = None,
-        shards: int | None = None,
-        executor: Any = None,
-        partitioner: Any = None,
-        optimize: bool | None = None,
-        stats: bool | None = None,
-        backend: str | None = None,
-        timeout: float | Deadline | None = None,
-        on_shard_error: str | None = None,
-        retry: RetryPolicy | bool | None = None,
-        trace: bool | None = None,
         options: Mapping[str, Mapping[str, Any]] | None = None,
+        **overrides: Any,
     ) -> dict[str, QueryResult]:
         """Run several strategies on the same query, keyed by strategy name.
 
-        ``options`` maps a strategy name to its extra keyword options.
-        With ``skip_inapplicable`` (the default), strategies that cannot
-        consume the query's frontend are silently omitted — handy when
-        comparing an SQL query that only some strategies can lower.
+        ``overrides`` are :class:`~repro.engine.spec.CallSpec` keywords
+        applying to every strategy; ``options`` maps a strategy name to
+        its extra keyword options.  With ``skip_inapplicable`` (the
+        default), strategies that cannot consume the query's frontend
+        are silently omitted — handy when comparing an SQL query that
+        only some strategies can lower.
 
         ``timeout`` bounds the *whole* comparison: the budget is
         resolved to one deadline up front and shared by every strategy,
@@ -681,81 +719,47 @@ class Engine:
         operational failure, never skipped like an inapplicable
         strategy.
         """
-        names = tuple(strategies) if strategies is not None else self.strategies()
-        per_strategy = options or {}
-        deadline = resolve_deadline(timeout, self.default_timeout)
-        sharded = self._sharded_database(database, shards, partitioner)
-        if sharded is not None:
-            database = sharded
-            shards = None
-        if database_fp is None and use_cache and self._cache.enabled:
-            database_fp = database_fingerprint(database)
+        database, calls = self._compare_calls(
+            database, strategies, database_fp, options, overrides
+        )
         results: dict[str, QueryResult] = {}
-        for name in names:
-            extra = dict(per_strategy.get(name, {}))
-            # A per-strategy {'optimize': ...} / {'stats': ...} /
-            # {'backend': ...} overrides the call-level argument instead
-            # of colliding with it.
-            resolved_optimize = extra.pop("optimize", optimize)
-            resolved_stats = extra.pop("stats", stats)
-            resolved_backend = extra.pop("backend", backend)
+        for name, call in calls:
             try:
-                results[name] = self.evaluate(
-                    query,
-                    database,
-                    strategy=name,
-                    semantics=semantics,
-                    use_cache=use_cache,
-                    database_fp=database_fp,
-                    shards=shards,
-                    executor=executor,
-                    partitioner=partitioner,
-                    optimize=resolved_optimize,
-                    stats=resolved_stats,
-                    backend=resolved_backend,
-                    timeout=deadline,
-                    on_shard_error=on_shard_error,
-                    retry=retry,
-                    trace=trace,
-                    **extra,
-                )
+                results[name] = self.evaluate(query, database, **call)
             except StrategyNotApplicableError:
                 if not skip_inapplicable:
                     raise
         return results
 
 
-def _with_plan_metadata(
-    result: QueryResult, decision: PlanDecision | None
-) -> QueryResult:
-    """Record an ``auto`` plan decision on the result it produced.
+def _fold_options(
+    strat: EvaluationStrategy, spec: CallSpec, options: Mapping[str, Any]
+) -> dict[str, Any]:
+    """Fold the resolved ``optimize``/``stats``/``backend`` into options.
 
-    Attached *after* evaluation (and after any cache hit), so auto and
-    explicit calls share cache entries — the stored result carries no
-    plan, the returned copy does.
+    Only strategies declaring ``supports_optimize`` (respectively
+    ``supports_stats``, a multi-entry ``backends`` record) receive the
+    option (and hence carry it in their cache keys); for the others the
+    result cannot depend on it, so leaving it out keeps their keys
+    stable and their option validation strict.
     """
-    if decision is None:
-        return result
-    return replace(result, metadata={**result.metadata, "plan": decision.as_metadata()})
-
-
-def _with_backend_note(
-    result: QueryResult, strat: Any, requested: str | None
-) -> QueryResult:
-    """Answer an explicit ``backend=`` request on interpreter-only paths.
-
-    Strategies that route plans through :func:`repro.exec.execute_plans`
-    record the requested/resolved pair themselves; for the rest, an
-    explicitly requested backend still deserves an answer, so the note is
-    attached post-hoc (after any cache hit — stored results carry no
-    note, the returned copy does, mirroring ``_with_plan_metadata``).
-    """
-    if requested is None or "backend" in result.metadata:
-        return result
-    note = interpreter_note(
-        requested, f"strategy {strat.name!r} executes on the interpreter only"
-    )
-    return replace(result, metadata={**result.metadata, "backend": note})
+    options = dict(options)
+    if strat.supports_optimize:
+        options["optimize"] = spec.optimize
+    if strat.supports_stats:
+        options["stats"] = spec.stats
+    supported = strat.supported_backends
+    if len(supported) > 1:
+        options["backend"] = spec.backend
+    elif spec.backend == "sqlite":
+        # An explicit pushdown demand on an interpreter-only strategy
+        # cannot be honoured; raise the skippable error so compare()
+        # omits the strategy instead of silently running elsewhere.
+        raise StrategyNotApplicableError(
+            f"strategy {strat.name!r} supports backends {supported}, "
+            "not 'sqlite'; use backend='auto' or backend='interpreter'"
+        )
+    return options
 
 
 def _presharded_database(
@@ -778,72 +782,32 @@ def _presharded_database(
     return ShardedDatabase.from_database(database, shards, partitioner)
 
 
-class Session:
-    """An :class:`Engine` bound to one database.
+class SessionBase:
+    """What :class:`Session` and :class:`~repro.engine.aio.AsyncSession`
+    share: construction, the fingerprint memo, ``with_database`` and the
+    delegation to the bound engine.
 
-    The session owns the result cache (a fresh engine is created unless
-    one is shared explicitly) and memoises the database fingerprint, so
-    repeated evaluations of the same query are answered from the cache
-    without re-hashing the data.
-
-    A session is a context manager: ``with Session(db) as session:``
-    closes the private engine (and hence any worker pools it spawned)
-    on exit.  An engine passed in explicitly is *shared* — the session
-    never closes it, and the engine-level constructor arguments
-    (``cache_size``, ``cache``, ``default_semantics``, ``optimize``,
-    ``stats``, ``backend``, ``auto_exact_budget``) are ignored in favour
-    of the shared engine's own configuration; pass
-    ``optimize=``/``stats=``/``backend=`` per ``evaluate``/``compare``
-    call to override it on a shared engine.
-
-    ``cache="disk:/path"`` (or a
-    :class:`~repro.engine.cache.CacheBackend` instance) makes results
-    survive this session: a later session — or another process — on the
-    same directory gets cache hits for unchanged (query, database)
-    pairs.
+    The sugar methods return ``self.evaluate(...)`` — a result on the
+    sync session, an awaitable on the async one.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        *,
-        engine: Engine | None = None,
-        cache_size: int = 256,
-        cache: Any = None,
-        default_semantics: str = "set",
-        shards: int | None = None,
-        executor: Any = None,
-        partitioner: Any = None,
-        optimize: bool = True,
-        stats: bool = True,
-        backend: str = "auto",
-        auto_exact_budget: int | None = None,
-        timeout: float | None = None,
-        on_shard_error: str = "raise",
-        retry: Any = None,
-        trace: bool = False,
-    ):
-        self.database = _presharded_database(database, shards, partitioner)
-        self._owns_engine = engine is None
-        self.engine = engine or Engine(
-            cache_size=cache_size,
-            cache=cache,
-            default_semantics=default_semantics,
-            executor=executor or "serial",
-            optimize=optimize,
-            stats=stats,
-            backend=backend,
-            auto_exact_budget=auto_exact_budget,
-            timeout=timeout,
-            on_shard_error=on_shard_error,
-            retry=retry,
-            trace=trace,
-        )
+    #: The engine class a session creates when none is shared.
+    engine_type: type = Engine
+    #: The keywords the constructor accepts besides ``engine``.
+    keywords: frozenset = ENGINE_KEYWORDS
+
+    def __init__(self, database: Database, *, engine: Any = None, **settings: Any):
+        check_settings(type(self).__name__, settings, self.keywords)
         # Per-session sharding config, honoured even on a shared engine
         # and carried across with_database().
-        self._executor = executor
-        self._shards = shards
-        self._partitioner = partitioner
+        self._shards = settings.pop("shards", None)
+        self._partitioner = settings.pop("partitioner", None)
+        self._executor = settings.pop("executor", None)
+        self.database = _presharded_database(database, self._shards, self._partitioner)
+        self._owns_engine = engine is None
+        self.engine = engine or self.engine_type(
+            executor=self._executor or "serial", **settings
+        )
         self._database_fp: str | None = None
 
     def _fingerprint(self) -> str:
@@ -851,21 +815,12 @@ class Session:
             self._database_fp = database_fingerprint(self.database)
         return self._database_fp
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
         """Close the engine this session created (shared engines survive)."""
         if self._owns_engine:
             self.engine.close()
 
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def with_database(self, database: Database) -> "Session":
+    def with_database(self, database: Database):
         """A new session on another database, sharing this session's engine.
 
         The session's sharding configuration carries over: a plain
@@ -875,7 +830,7 @@ class Session:
         from ..sharding.database import ShardedDatabase
 
         shards = None if isinstance(database, ShardedDatabase) else self._shards
-        session = Session(
+        session = type(self)(
             database,
             engine=self.engine,
             shards=shards,
@@ -896,53 +851,39 @@ class Session:
         """Will this call touch the cache (and hence need the fingerprint)?"""
         return bool(kwargs.get("use_cache", True)) and self.engine.cache_enabled
 
-    def evaluate(self, query: Any, **kwargs: Any) -> QueryResult:
+    def _bound(self, kwargs: dict[str, Any]) -> dict[str, Any]:
+        """The call's keywords plus this session's fingerprint/executor."""
         if self._caching(kwargs):
             kwargs.setdefault("database_fp", self._fingerprint())
         if self._executor is not None:
             kwargs.setdefault("executor", self._executor)
-        return self.engine.evaluate(query, self.database, **kwargs)
+        return kwargs
 
-    def evaluate_batch(self, queries: Iterable[Any], **kwargs: Any) -> list[QueryResult]:
-        return [self.evaluate(query, **kwargs) for query in queries]
+    def evaluate(self, query: Any, **kwargs: Any):
+        return self.engine.evaluate(query, self.database, **self._bound(kwargs))
 
-    def compare(self, query: Any, **kwargs: Any) -> dict[str, QueryResult]:
-        if self._caching(kwargs):
-            kwargs.setdefault("database_fp", self._fingerprint())
-        if self._executor is not None:
-            kwargs.setdefault("executor", self._executor)
-        return self.engine.compare(query, self.database, **kwargs)
+    def evaluate_batch(self, queries: Iterable[Any], **kwargs: Any):
+        return self.engine.evaluate_batch(queries, self.database, **self._bound(kwargs))
+
+    def compare(self, query: Any, **kwargs: Any):
+        return self.engine.compare(query, self.database, **self._bound(kwargs))
 
     # Small conveniences mirroring the paper's vocabulary.
-    def sql(self, query: Any, **kwargs: Any) -> QueryResult:
+    def sql(self, query: Any, **kwargs: Any):
         """SQL-semantics evaluation (strategy ``sql-3vl``)."""
         return self.evaluate(query, strategy="sql-3vl", **kwargs)
 
-    def naive(self, query: Any, **kwargs: Any) -> QueryResult:
+    def naive(self, query: Any, **kwargs: Any):
         return self.evaluate(query, strategy="naive", **kwargs)
 
-    def certain(self, query: Any, **kwargs: Any) -> QueryResult:
+    def certain(self, query: Any, **kwargs: Any):
         """Exact certain answers (strategy ``exact-certain``)."""
         return self.evaluate(query, strategy="exact-certain", **kwargs)
 
-    def auto(self, query: Any, **kwargs: Any) -> QueryResult:
+    def auto(self, query: Any, **kwargs: Any):
         """Planner-chosen evaluation (``strategy="auto"``);
         ``result.metadata["plan"]`` says what was picked and why."""
         return self.evaluate(query, strategy="auto", **kwargs)
-
-    def explain(self, query: Any, **kwargs: Any) -> str:
-        """Evaluate with ``trace=True`` and render the EXPLAIN report.
-
-        Accepts every ``evaluate`` keyword (``strategy="auto"``,
-        ``shards=...``, ``backend=...``, ...) and returns one report
-        combining the plan decision, backend resolution, sharding and
-        resilience notes with the span tree — see
-        :mod:`repro.obs.explain`.  Tracing never changes the answer (or
-        the cache keys), so explaining a query is exactly as safe as
-        evaluating it.
-        """
-        kwargs["trace"] = True
-        return render_explain(self.evaluate(query, **kwargs))
 
     def strategies(self) -> tuple[str, ...]:
         return self.engine.strategies()
@@ -957,6 +898,54 @@ class Session:
 
     def clear_cache(self) -> None:
         self.engine.clear_cache()
+
+
+class Session(SessionBase):
+    """An :class:`Engine` bound to one database.
+
+    The session owns the result cache (a fresh engine is created unless
+    one is shared explicitly) and memoises the database fingerprint, so
+    repeated evaluations of the same query are answered from the cache
+    without re-hashing the data.  It accepts every :class:`Engine`
+    keyword; ``shards``/``partitioner`` partition the database once up
+    front and ``executor`` becomes this session's shard executor.
+
+    A session is a context manager: ``with Session(db) as session:``
+    closes the private engine (and hence any worker pools it spawned)
+    on exit.  An engine passed in explicitly is *shared* — the session
+    never closes it, and the engine-level constructor arguments
+    (``cache_size``, ``cache``, ``default_semantics``, ``optimize``,
+    ``stats``, ``backend``, ``auto_exact_budget``, ...) are ignored in
+    favour of the shared engine's own configuration; pass
+    ``optimize=``/``stats=``/``backend=`` per ``evaluate``/``compare``
+    call to override it on a shared engine.
+
+    ``cache="disk:/path"`` (or a
+    :class:`~repro.engine.cache.CacheBackend` instance) makes results
+    survive this session: a later session — or another process — on the
+    same directory gets cache hits for unchanged (query, database)
+    pairs.
+    """
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def explain(self, query: Any, **kwargs: Any) -> str:
+        """Evaluate with ``trace=True`` and render the EXPLAIN report.
+
+        Accepts every ``evaluate`` keyword (``strategy="auto"``,
+        ``shards=...``, ``backend=...``, ...) and returns one report
+        combining the plan decision, backend resolution, sharding and
+        resilience notes with the span tree — see
+        :mod:`repro.obs.explain`.  Tracing never changes the answer (or
+        the cache keys), so explaining a query is exactly as safe as
+        evaluating it.
+        """
+        kwargs["trace"] = True
+        return render_explain(self.evaluate(query, **kwargs))
 
 
 _DEFAULT_ENGINE: Engine | None = None

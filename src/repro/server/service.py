@@ -135,6 +135,39 @@ class ServerConfig:
     verbose: bool = False
 
 
+def _timeout_seconds(timeout_ms: Any) -> float:
+    timeout_ms = float(timeout_ms)
+    if timeout_ms <= 0:
+        raise ValueError("timeout_ms must be a positive number")
+    return timeout_ms / 1000.0
+
+
+#: Request keys that set a per-call engine setting
+#: (:class:`~repro.engine.spec.CallSpec` field): wire key -> (field,
+#: decoder).  Both ``/query`` and ``/batch`` (whose top-level keys apply
+#: to every item) decode through this one table; ``stats`` stays off
+#: the wire.  The span tree of ``"trace": true`` rides back in
+#: ``result.metadata["trace"]`` (``encode_result`` serialises metadata
+#: as-is).
+WIRE_SETTINGS: dict[str, tuple[str, Any]] = {
+    "semantics": ("semantics", lambda value: value or None),
+    "use_cache": ("use_cache", bool),
+    "optimize": ("optimize", bool),
+    "backend": ("backend", str),
+    "timeout_ms": ("timeout", _timeout_seconds),
+    "on_shard_error": ("on_shard_error", str),
+    "trace": ("trace", bool),
+}
+
+
+def _decode_settings(payload: Mapping[str, Any]) -> dict[str, Any]:
+    settings = {}
+    for key, (name, decode) in WIRE_SETTINGS.items():
+        if payload.get(key) is not None:
+            settings[name] = decode(payload[key])
+    return settings
+
+
 class _Tenant:
     """One tenant's engines and cache slice."""
 
@@ -375,24 +408,8 @@ class EvalServer:
             tenant.name, str(payload.get("db", ""))
         )
         strategy = payload.get("strategy") or self.config.default_strategy
-        semantics = payload.get("semantics") or None
-        use_cache = bool(payload.get("use_cache", True))
-        options: dict[str, Any] = dict(payload.get("options") or {})
-        if payload.get("optimize") is not None:
-            options["optimize"] = bool(payload["optimize"])
-        if payload.get("backend") is not None:
-            options["backend"] = str(payload["backend"])
-        if payload.get("timeout_ms") is not None:
-            timeout_ms = float(payload["timeout_ms"])
-            if timeout_ms <= 0:
-                raise ValueError("timeout_ms must be a positive number")
-            options["timeout"] = timeout_ms / 1000.0
-        if payload.get("on_shard_error") is not None:
-            options["on_shard_error"] = str(payload["on_shard_error"])
-        if payload.get("trace") is not None:
-            # The span tree rides back in result.metadata["trace"]
-            # (encode_result serialises metadata as-is).
-            options["trace"] = bool(payload["trace"])
+        settings = {**(payload.get("options") or {}), **_decode_settings(payload)}
+        use_cache = settings.get("use_cache", True)
         outcome = "error"
         record = None
         try:
@@ -403,10 +420,8 @@ class EvalServer:
                     query,
                     database,
                     strategy=strategy,
-                    semantics=semantics,
-                    use_cache=use_cache,
                     database_fp=fingerprint if use_cache else None,
-                    **options,
+                    **settings,
                 )
                 execution = time.perf_counter() - started
             plan = result.metadata.get("plan") if isinstance(result.metadata, Mapping) else None
@@ -450,17 +465,7 @@ class EvalServer:
             raise ValueError("batch request needs a non-empty 'queries' list")
         shared = {
             key: payload[key]
-            for key in (
-                "db",
-                "strategy",
-                "semantics",
-                "use_cache",
-                "optimize",
-                "backend",
-                "timeout_ms",
-                "on_shard_error",
-                "trace",
-            )
+            for key in ("db", "strategy", *WIRE_SETTINGS)
             if key in payload
         }
         completed = errors = 0

@@ -38,13 +38,7 @@ Layers:
 """
 
 from .database import SHARD_SUFFIX, ShardedDatabase, shard_relation_name
-from .evaluate import (
-    SHARD_MERGES,
-    SHARDABLE_STRATEGIES,
-    ShardableSpec,
-    evaluate_sharded,
-    register_shard_merge,
-)
+from .evaluate import SHARD_MERGES, evaluate_sharded, register_shard_merge
 from .executor import (
     ProcessShardExecutor,
     SerialShardExecutor,
@@ -74,8 +68,6 @@ __all__ = [
     "ShardTask",
     "ShardPartial",
     "resolve_executor",
-    "ShardableSpec",
-    "SHARDABLE_STRATEGIES",
     "SHARD_MERGES",
     "register_shard_merge",
     "evaluate_sharded",

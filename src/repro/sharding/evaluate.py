@@ -1,8 +1,9 @@
 """Sharded evaluation: orchestrate shard plans, caching and merging.
 
-This is the piece the engine calls when a query targets a
-:class:`~repro.sharding.database.ShardedDatabase` (or ``shards=`` is
-passed).  The flow:
+This is the engine's step for a query on a
+:class:`~repro.sharding.database.ShardedDatabase` (or with ``shards=``),
+written once as pipeline steps (:mod:`repro.engine.drive`) that both the
+sync and the async engine drive.  The flow:
 
 1. read the strategy's shard-distribution declaration from its
    :class:`~repro.engine.capabilities.StrategyCapabilities` record
@@ -14,10 +15,7 @@ passed).  The flow:
    union of per-fragment intersections under-approximates — and Figure
    2a builds ``Dom^k`` complements whose per-fragment union
    over-approximates ``Qf``) — are evaluated **coalesced**:
-   monolithically on the union view, which the sharded database *is*.
-   (:data:`SHARDABLE_STRATEGIES` remains as an explicit override table
-   consulted first, so tests and downstream packages can attach a
-   :class:`ShardableSpec` without touching a strategy's capabilities.)
+   monolithically on the union view, which the sharded database *is*;
 2. rewrite the plan via :func:`repro.sharding.planner.shard_plan` with
    the strategy's allowed lineage operators, falling back to coalesced
    evaluation for non-distributive plans (difference, division, ...);
@@ -25,23 +23,16 @@ passed).  The flow:
    rewritten-plan fingerprint and the *fragment* fingerprints of the
    sharded relations (plus the full fingerprints of broadcast
    relations), so mutating one shard invalidates only its partial;
-4. evaluate the cache misses through the shard executor and merge the
-   partials with the strategy-specific merge function, reproducing
+4. fan the cache misses out through the shard executor under the
+   resilience contract (:func:`repro.engine.drive.run_tasks`) and merge
+   the partials with the strategy-specific merge function, reproducing
    exactly what the monolithic strategy would have returned.
 
-The engine's ``optimize=`` and ``stats=`` settings ride along in the
-task options, so each fragment's rewritten plan is optimized *inside*
-the strategy call (:mod:`repro.algebra.optimize` memoises the rewrite
-per stats fingerprint), and — because the per-shard partial cache keys
-include the canonical options — optimized/unoptimized and
-stats-on/stats-off partials never alias.  With ``stats`` on, each
-fragment builds its own :class:`~repro.algebra.stats.Stats` provider
-over the shard it actually sees: build sides and join orders are chosen
-from the fragment's *estimates* before anything materialises, instead
-of coalescing the sharded relation just to count its rows.
-
-The merged :class:`~repro.engine.result.QueryResult` is result-identical
-to monolithic evaluation — the randomized harness in
+The call's ``optimize``/``stats``/``backend`` settings ride along in the
+task options (and hence in the partial cache keys), so each fragment's
+plan is optimized inside the strategy call over the statistics of the
+shard it actually sees.  The merged :class:`~repro.engine.result.QueryResult`
+is result-identical to monolithic evaluation — the randomized harness in
 ``tests/test_sharding_equivalence.py`` enforces this for every
 registered strategy — and differs only in its ``metadata["sharding"]``
 entry.
@@ -49,67 +40,38 @@ entry.
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import hashlib
-import inspect
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from ..datamodel.database import Database
 from ..datamodel.relation import Relation
 from ..engine.cache import ResultCache, canonical_options, database_fingerprint
+from ..engine.capabilities import StrategyCapabilities
+from ..engine.drive import Dispatch, run_tasks
 from ..engine.errors import EngineError
 from ..engine.frontend import NormalizedQuery, query_fingerprint
 from ..engine.registry import EvaluationStrategy, StrategyOutcome, annotate
 from ..engine.result import AnnotatedTuple, Certainty, QueryResult
 from ..obs import metrics as obs_metrics
 from ..obs.trace import SpanContext, span
-from ..resilience import Deadline, DeadlineExceeded, RetryPolicy
+from ..resilience import DeadlineExceeded
 from .database import ShardedDatabase, shard_relation_name
 from .executor import ShardExecutor, ShardPartial, ShardTask
-from .planner import (
-    NAIVE_BAG_LINEAGE_OPS,
-    NAIVE_LINEAGE_OPS,
-    TRANSLATION_LINEAGE_OPS,
-    NonDistributableError,
-    ShardPlan,
-    shard_plan,
-)
+from .planner import NonDistributableError, ShardPlan, shard_plan
+
+if TYPE_CHECKING:
+    from ..engine.core import PreparedCall
 
 __all__ = [
-    "ShardableSpec",
-    "SHARDABLE_STRATEGIES",
     "SHARD_MERGES",
     "register_shard_merge",
     "evaluate_sharded",
-    "evaluate_sharded_async",
 ]
 
 MergeFn = Callable[..., StrategyOutcome]
-
-
-@dataclass(frozen=True)
-class ShardableSpec:
-    """How one strategy distributes over shards."""
-
-    lineage_ops: frozenset
-    merge: MergeFn
-    bag_lineage_ops: frozenset | None = None
-    #: May ``on_shard_error="degrade"`` drop failed shards and merge the
-    #: survivors?  Only meaningful for *union-style* merges, where the
-    #: merge of a subset of partials is a subset of the full merge; the
-    #: orchestrator additionally requires a monotone query fragment
-    #: (CQ/UCQ), so the subset answer is a sound under-approximation of
-    #: the fault-free certain answer (``"sound-subset"``).
-    degradable: bool = False
-
-    def ops_for(self, semantics: str) -> frozenset:
-        if semantics == "bag" and self.bag_lineage_ops is not None:
-            return self.bag_lineage_ops
-        return self.lineage_ops
 
 
 # ----------------------------------------------------------------------
@@ -213,18 +175,6 @@ def register_shard_merge(name: str, merge: MergeFn) -> None:
     SHARD_MERGES[name] = merge
 
 
-#: Explicit per-strategy overrides of the capability-declared
-#: distribution, consulted before the capability record.  Built-in
-#: strategies declare shardability in their capabilities
-#: (``shardable_ops`` + ``shard_merge``); this table exists for tests
-#: and downstream packages that attach a :class:`ShardableSpec` with a
-#: bespoke merge callable.  Strategies with neither declaration are
-#: sound under sharding too — via coalesced evaluation on the union
-#: view (see the module docstring for why each built-in exclusion is
-#: necessary, not just unimplemented).
-SHARDABLE_STRATEGIES: dict[str, ShardableSpec] = {}
-
-
 #: Merge names whose output over a *subset* of partials is a subset of
 #: the full merge — the structural half of the ``"degrade"`` gate (both
 #: built-in merges are plain unions, hence monotone in their inputs).
@@ -236,26 +186,17 @@ _DEGRADABLE_MERGES = frozenset({"naive-union", "certain-possible-union"})
 _MONOTONE_FRAGMENTS = frozenset({"CQ", "UCQ"})
 
 
-def _shardable_spec(strategy: EvaluationStrategy) -> ShardableSpec | None:
-    """Resolve how a strategy distributes: override table, then capabilities."""
-    spec = SHARDABLE_STRATEGIES.get(strategy.name)
-    if spec is not None:
-        return spec
+def _shard_merge(strategy: EvaluationStrategy) -> MergeFn | None:
+    """The merge of a strategy that declares shard lineage, else None."""
     caps = strategy.capabilities
-    if caps is None or not caps.shardable_ops or caps.shard_merge is None:
+    if not caps.shardable_ops or caps.shard_merge is None:
         return None
-    merge = SHARD_MERGES.get(caps.shard_merge)
-    if merge is None:
-        return None
-    return ShardableSpec(
-        lineage_ops=caps.shardable_ops,
-        bag_lineage_ops=caps.shardable_bag_ops,
-        merge=merge,
-        degradable=caps.shard_merge in _DEGRADABLE_MERGES,
-    )
+    return SHARD_MERGES.get(caps.shard_merge)
 
 
-def _degrade_blocker(spec: ShardableSpec, normalized: NormalizedQuery) -> str | None:
+def _degrade_blocker(
+    caps: StrategyCapabilities, normalized: NormalizedQuery
+) -> str | None:
     """Why ``on_shard_error="degrade"`` is not sound here (None = it is).
 
     Both halves of the gate must hold: the merge must be union-style
@@ -265,7 +206,7 @@ def _degrade_blocker(spec: ShardableSpec, normalized: NormalizedQuery) -> str | 
     not merely fewer — when a shard's data goes missing, so they are
     never degraded.
     """
-    if not spec.degradable:
+    if caps.shard_merge not in _DEGRADABLE_MERGES:
         return "the strategy's shard merge does not tolerate missing shards"
     fragment = normalized.fragment
     if fragment not in _MONOTONE_FRAGMENTS:
@@ -331,7 +272,7 @@ def _task_database(
 class _PlannedShardedCall:
     """A distributable call, cache-probed and ready for its executor."""
 
-    spec: ShardableSpec
+    merge: MergeFn
     plan: ShardPlan
     partials: list  # ShardPartial | None per shard; cached ones filled in
     tasks: list[ShardTask]
@@ -340,20 +281,13 @@ class _PlannedShardedCall:
 
 
 def _plan_sharded_call(
-    normalized: NormalizedQuery,
-    database: ShardedDatabase,
-    strategy: EvaluationStrategy,
-    *,
-    semantics: str,
-    options: Mapping[str, Any],
-    cache: ResultCache | None,
-    database_fp: str | None,
-    deadline: Deadline | None = None,
+    call: "PreparedCall",
 ) -> "tuple[str, None] | tuple[None, _PlannedShardedCall]":
     """Plan one sharded call: ``(reason, None)`` means coalesced fallback."""
-    spec = _shardable_spec(strategy)
-    plan: ShardPlan | None = None
-    if spec is None:
+    strategy, normalized, database = call.strategy, call.normalized, call.database
+    semantics, options, cache = call.spec.semantics, call.options, call.cache
+    merge = _shard_merge(strategy)
+    if merge is None:
         return f"strategy {strategy.name!r} is not shard-aware", None
     if normalized.algebra is None:
         return (
@@ -362,7 +296,7 @@ def _plan_sharded_call(
             None,
         )
     try:
-        plan = shard_plan(normalized.algebra, spec.ops_for(semantics))
+        plan = shard_plan(normalized.algebra, strategy.capabilities.ops_for(semantics))
     except NonDistributableError as exc:
         return str(exc), None
 
@@ -375,7 +309,7 @@ def _plan_sharded_call(
     rewritten_fp = query_fingerprint(plan.plan)
     full_fp = None
     if plan.uses_domain and cache is not None:
-        full_fp = database_fp or database_fingerprint(database)
+        full_fp = call.database_fp or database_fingerprint(database)
 
     partials: list[ShardPartial | None] = [None] * count
     tasks: list[ShardTask] = []
@@ -409,7 +343,7 @@ def _plan_sharded_call(
                     semantics=semantics,
                     options=tuple(options.items()),
                     cache_key=key,
-                    deadline=deadline,
+                    deadline=call.deadline,
                     trace=trace_ctx,
                 )
             )
@@ -418,27 +352,8 @@ def _plan_sharded_call(
         if tasks:
             planning.incr("partial_cache_misses", len(tasks))
     return None, _PlannedShardedCall(
-        spec=spec, plan=plan, partials=partials, tasks=tasks, hits=hits, start=start
+        merge=merge, plan=plan, partials=partials, tasks=tasks, hits=hits, start=start
     )
-
-
-def _call_merge(merge: MergeFn, partials, **kwargs) -> StrategyOutcome:
-    """Invoke a merge function, tolerating the pre-capability signature.
-
-    Merges written before the capability redesign take ``(partials, *,
-    semantics, database)``; the new contract adds ``normalized`` and
-    ``strategy``.  The signature is inspected (rather than retried on
-    ``TypeError``, which would mask genuine errors inside the merge) and
-    unknown keywords are dropped for legacy callables.
-    """
-    try:
-        parameters = inspect.signature(merge).parameters
-    except (TypeError, ValueError):  # builtins/C callables: pass everything
-        return merge(partials, **kwargs)
-    if any(p.kind is p.VAR_KEYWORD for p in parameters.values()):
-        return merge(partials, **kwargs)
-    accepted = {name: value for name, value in kwargs.items() if name in parameters}
-    return merge(partials, **accepted)
 
 
 def _coalesced_result(
@@ -479,174 +394,6 @@ def _absorb_partials(
             cache.put(task.cache_key, partial)
 
 
-_BROKEN_POOL_NAMES = frozenset(
-    {"BrokenProcessPool", "BrokenThreadPool", "BrokenExecutor", "BrokenWorkerError"}
-)
-
-
-def _describe_failure(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _is_broken_pool(exc: BaseException) -> bool:
-    return any(cls.__name__ in _BROKEN_POOL_NAMES for cls in type(exc).__mro__)
-
-
-def _retry_admissible(
-    exc: BaseException,
-    attempts: int,
-    retry: RetryPolicy | None,
-    deadline: Deadline | None,
-    on_shard_error: str,
-) -> bool:
-    """May this shard failure be retried (rather than raised/degraded)?"""
-    if on_shard_error == "raise" or retry is None:
-        return False
-    if isinstance(exc, DeadlineExceeded):
-        return False
-    if deadline is not None and deadline.expired:
-        return False
-    return attempts < retry.max_attempts and retry.is_retryable(exc)
-
-
-def _resubmit(executor: ShardExecutor, task: ShardTask, exc: BaseException):
-    """Resubmit after a transient failure, reviving a broken pool first."""
-    if _is_broken_pool(exc):
-        reset = getattr(executor, "reset", None)
-        if reset is not None:
-            reset()
-    return executor.submit(task)
-
-
-def _run_tasks_resilient(
-    executor: ShardExecutor,
-    tasks: Sequence[ShardTask],
-    *,
-    deadline: Deadline | None = None,
-    retry: RetryPolicy | None = None,
-    on_shard_error: str = "raise",
-) -> tuple[list[ShardPartial | None], dict[int, str], int]:
-    """Run shard tasks under the resilience contract.
-
-    Returns ``(partials, failures, retries)``: ``partials`` aligned with
-    ``tasks`` (``None`` per shard dropped by ``"degrade"``),
-    ``failures`` mapping the dropped shard index to its final error, and
-    the total number of retries performed.  ``"raise"`` propagates the
-    first failure; ``"retry"`` retries transient failures per the
-    policy, then propagates; ``"degrade"`` retries, then records the
-    shard as failed and carries on.  A ``deadline`` bounds the whole
-    fan-out — expiry raises :class:`DeadlineExceeded` even while shards
-    are still running.
-    """
-    if on_shard_error == "raise" and retry is None and deadline is None:
-        # The fast path: identical to the pre-resilience behaviour.
-        return list(executor.run(tasks)), {}, 0
-    partials: list[ShardPartial | None] = [None] * len(tasks)
-    failures: dict[int, str] = {}
-    retries = 0
-    attempts = [0] * len(tasks)
-    pending = {executor.submit(task): i for i, task in enumerate(tasks)}
-    while pending:
-        timeout = deadline.remaining() if deadline is not None else None
-        done, not_done = concurrent.futures.wait(
-            pending, timeout=timeout,
-            return_when=concurrent.futures.FIRST_COMPLETED,
-        )
-        if not done:
-            for future in not_done:
-                future.cancel()
-            raise DeadlineExceeded(
-                f"sharded evaluation exceeded its deadline with "
-                f"{len(not_done)} shard task(s) still running"
-            )
-        for future in done:
-            index = pending.pop(future)
-            try:
-                partials[index] = future.result()
-            except Exception as exc:
-                if isinstance(exc, DeadlineExceeded):
-                    raise
-                attempts[index] += 1
-                if _retry_admissible(
-                    exc, attempts[index], retry, deadline, on_shard_error
-                ):
-                    retries += 1
-                    pause = retry.delay(attempts[index])
-                    if deadline is not None:
-                        pause = min(pause, deadline.remaining())
-                    if pause > 0:
-                        time.sleep(pause)
-                    pending[_resubmit(executor, tasks[index], exc)] = index
-                    continue
-                if on_shard_error == "degrade":
-                    failures[tasks[index].shard] = _describe_failure(exc)
-                    continue
-                raise
-    return partials, failures, retries
-
-
-async def _run_tasks_resilient_async(
-    executor: ShardExecutor,
-    tasks: Sequence[ShardTask],
-    *,
-    deadline: Deadline | None = None,
-    retry: RetryPolicy | None = None,
-    on_shard_error: str = "raise",
-) -> tuple[list[ShardPartial | None], dict[int, str], int]:
-    """Awaitable twin of :func:`_run_tasks_resilient` (same contract)."""
-    if on_shard_error == "raise" and retry is None and deadline is None:
-        return list(await executor.run_async(tasks)), {}, 0
-    partials: list[ShardPartial | None] = [None] * len(tasks)
-    failures: dict[int, str] = {}
-    retries = 0
-    attempts = [0] * len(tasks)
-    pending = {
-        asyncio.ensure_future(asyncio.wrap_future(executor.submit(task))): i
-        for i, task in enumerate(tasks)
-    }
-    try:
-        while pending:
-            timeout = deadline.remaining() if deadline is not None else None
-            done, not_done = await asyncio.wait(
-                pending, timeout=timeout, return_when=asyncio.FIRST_COMPLETED
-            )
-            if not done:
-                raise DeadlineExceeded(
-                    f"sharded evaluation exceeded its deadline with "
-                    f"{len(not_done)} shard task(s) still running"
-                )
-            for future in done:
-                index = pending.pop(future)
-                try:
-                    partials[index] = future.result()
-                except Exception as exc:
-                    if isinstance(exc, DeadlineExceeded):
-                        raise
-                    attempts[index] += 1
-                    if _retry_admissible(
-                        exc, attempts[index], retry, deadline, on_shard_error
-                    ):
-                        retries += 1
-                        pause = retry.delay(attempts[index])
-                        if deadline is not None:
-                            pause = min(pause, deadline.remaining())
-                        if pause > 0:
-                            await asyncio.sleep(pause)
-                        resubmitted = _resubmit(executor, tasks[index], exc)
-                        pending[
-                            asyncio.ensure_future(asyncio.wrap_future(resubmitted))
-                        ] = index
-                        continue
-                    if on_shard_error == "degrade":
-                        failures[tasks[index].shard] = _describe_failure(exc)
-                        continue
-                    raise
-    finally:
-        for future in pending:
-            future.cancel()
-    return partials, failures, retries
-
-
 def _merged_backend_metadata(partials: Sequence[ShardPartial]) -> dict[str, Any]:
     """Aggregate the per-shard backend decisions into one metadata note.
 
@@ -678,17 +425,13 @@ def _merged_backend_metadata(partials: Sequence[ShardPartial]) -> dict[str, Any]
 
 def _finish_sharded(
     planned: _PlannedShardedCall,
-    normalized: NormalizedQuery,
-    database: ShardedDatabase,
-    strategy: EvaluationStrategy,
-    semantics: str,
+    call: "PreparedCall",
     executor_kind: str,
-    *,
-    failures: Mapping[int, str] | None = None,
-    retries: int = 0,
+    failures: Mapping[int, str],
+    retries: int,
 ) -> QueryResult:
+    strategy, semantics, database = call.strategy, call.spec.semantics, call.database
     count = database.shard_count
-    failures = failures or {}
     surviving = [p for p in planned.partials if p is not None]
     if not surviving:
         raise EngineError(
@@ -696,14 +439,13 @@ def _finish_sharded(
             f"(failures: {dict(failures)})"
         )
     with span(
-        "shard.merge", merge=getattr(planned.spec.merge, "__name__", "merge")
+        "shard.merge", merge=getattr(planned.merge, "__name__", "merge")
     ) as merging:
-        outcome = _call_merge(
-            planned.spec.merge,
+        outcome = planned.merge(
             surviving,
             semantics=semantics,
             database=database,
-            normalized=normalized,
+            normalized=call.normalized,
             strategy=strategy,
         )
         merging.incr("rows_out", len(outcome.answer))
@@ -756,73 +498,54 @@ def _finish_sharded(
         certainly_false=outcome.certainly_false,
         elapsed=elapsed,
         from_cache=not planned.tasks and count > 0,
-        fingerprint=normalized.fingerprint,
+        fingerprint=call.normalized.fingerprint,
         metadata=metadata,
     )
 
 
 def evaluate_sharded(
-    normalized: NormalizedQuery,
-    database: ShardedDatabase,
-    strategy: EvaluationStrategy,
+    call: "PreparedCall",
     *,
-    semantics: str,
-    options: Mapping[str, Any],
     executor: ShardExecutor,
-    cache: ResultCache | None,
-    database_fp: str | None = None,
-    deadline: Deadline | None = None,
-    on_shard_error: str = "raise",
-    retry: RetryPolicy | None = None,
-    evaluate_coalesced: Callable[[], QueryResult],
-) -> QueryResult:
-    """Evaluate on a sharded database, falling back to coalesced evaluation.
+    coalesced: Callable[[], Any],
+):
+    """Evaluate a prepared call on its sharded database (pipeline steps).
 
-    ``evaluate_coalesced`` is the engine's monolithic path (already
-    closed over the query, database and caching arguments); it is used
-    whenever the (strategy, plan, semantics) combination does not
-    distribute.
-
-    ``deadline``/``on_shard_error``/``retry`` implement the resilience
-    contract (see :mod:`repro.resilience` and
-    :func:`_run_tasks_resilient`).  ``"degrade"`` is capability-gated:
-    when the merge or the query's fragment cannot guarantee a sound
-    subset (:func:`_degrade_blocker`), shard failures are retried but a
-    persistent failure raises — wrapped in an
+    ``coalesced`` returns the engine's monolithic steps for the call; it
+    runs whenever the (strategy, plan, semantics) combination does not
+    distribute.  The fan-out is a :class:`~repro.engine.drive.Dispatch`
+    of :func:`~repro.engine.drive.run_tasks` under the call's deadline,
+    retry policy and ``on_shard_error``.  ``"degrade"`` is
+    capability-gated: when the merge or the query's fragment cannot
+    guarantee a sound subset (:func:`_degrade_blocker`), shard failures
+    are retried but a persistent failure raises — wrapped in an
     :class:`~repro.engine.errors.EngineError` naming the blocker, so the
     caller learns *why* degradation was unavailable.
     """
-    reason, planned = _plan_sharded_call(
-        normalized,
-        database,
-        strategy,
-        semantics=semantics,
-        options=options,
-        cache=cache,
-        database_fp=database_fp,
-        deadline=deadline,
-    )
+    reason, planned = _plan_sharded_call(call)
     if planned is None:
-        return _coalesced_result(evaluate_coalesced(), database, reason)
+        return _coalesced_result((yield from coalesced()), call.database, reason)
     failures: dict[int, str] = {}
     retries = 0
     if planned.tasks:
+        on_error = call.spec.on_shard_error
         blocker = (
-            _degrade_blocker(planned.spec, normalized)
-            if on_shard_error == "degrade"
+            _degrade_blocker(call.strategy.capabilities, call.normalized)
+            if on_error == "degrade"
             else None
         )
-        effective = "retry" if blocker is not None else on_shard_error
         with span(
             "shard.fanout", executor=executor.kind, tasks=len(planned.tasks)
         ) as fanout:
             try:
-                computed, failures, retries = _run_tasks_resilient(
-                    executor,
-                    planned.tasks,
-                    deadline=deadline,
-                    retry=retry,
-                    on_shard_error=effective,
+                computed, failed, retries = yield Dispatch(
+                    run_tasks(
+                        executor,
+                        planned.tasks,
+                        deadline=call.deadline,
+                        retry=call.spec.retry,
+                        on_error="retry" if blocker is not None else on_error,
+                    )
                 )
             except DeadlineExceeded:
                 raise
@@ -840,112 +563,6 @@ def evaluate_sharded(
                     exported = partial.metadata.get("trace")
                     if exported:
                         fanout.graft(exported)
-        _absorb_partials(planned, computed, cache)
-    return _finish_sharded(
-        planned,
-        normalized,
-        database,
-        strategy,
-        semantics,
-        executor.kind,
-        failures=failures,
-        retries=retries,
-    )
-
-
-async def evaluate_sharded_async(
-    normalized: NormalizedQuery,
-    database: ShardedDatabase,
-    strategy: EvaluationStrategy,
-    *,
-    semantics: str,
-    options: Mapping[str, Any],
-    executor: ShardExecutor,
-    cache: ResultCache | None,
-    database_fp: str | None = None,
-    deadline: Deadline | None = None,
-    on_shard_error: str = "raise",
-    retry: RetryPolicy | None = None,
-    evaluate_coalesced: Callable[[], Any],
-    limiter: Any = None,
-) -> QueryResult:
-    """Awaitable twin of :func:`evaluate_sharded`.
-
-    Planning, cache probing and merging are shared with the sync path;
-    only the executor hop differs — cache misses go through the
-    executor's :meth:`~repro.sharding.executor.ShardExecutor.run_async`
-    submit surface so several sharded evaluations can overlap on one
-    event loop.  ``evaluate_coalesced`` is awaited (the async engine's
-    monolithic path); ``limiter`` is an optional async context manager
-    (the engine's ``max_concurrency`` semaphore) held around the
-    executor hop only, so the fallback path cannot deadlock on it.
-    """
-    reason, planned = _plan_sharded_call(
-        normalized,
-        database,
-        strategy,
-        semantics=semantics,
-        options=options,
-        cache=cache,
-        database_fp=database_fp,
-        deadline=deadline,
-    )
-    if planned is None:
-        return _coalesced_result(await evaluate_coalesced(), database, reason)
-    failures: dict[int, str] = {}
-    retries = 0
-    if planned.tasks:
-        blocker = (
-            _degrade_blocker(planned.spec, normalized)
-            if on_shard_error == "degrade"
-            else None
-        )
-        effective = "retry" if blocker is not None else on_shard_error
-        with span(
-            "shard.fanout", executor=executor.kind, tasks=len(planned.tasks)
-        ) as fanout:
-            try:
-                if limiter is not None:
-                    async with limiter:
-                        computed, failures, retries = await _run_tasks_resilient_async(
-                            executor,
-                            planned.tasks,
-                            deadline=deadline,
-                            retry=retry,
-                            on_shard_error=effective,
-                        )
-                else:
-                    computed, failures, retries = await _run_tasks_resilient_async(
-                        executor,
-                        planned.tasks,
-                        deadline=deadline,
-                        retry=retry,
-                        on_shard_error=effective,
-                    )
-            except DeadlineExceeded:
-                raise
-            except Exception as exc:
-                if blocker is None:
-                    raise
-                raise EngineError(
-                    f"shard failed and on_shard_error='degrade' is unavailable: "
-                    f"{blocker}"
-                ) from exc
-            if retries:
-                fanout.incr("retries", retries)
-            for partial in computed:
-                if partial is not None and partial.metadata:
-                    exported = partial.metadata.get("trace")
-                    if exported:
-                        fanout.graft(exported)
-        _absorb_partials(planned, computed, cache)
-    return _finish_sharded(
-        planned,
-        normalized,
-        database,
-        strategy,
-        semantics,
-        executor.kind,
-        failures=failures,
-        retries=retries,
-    )
+        failures = {planned.tasks[i].shard: error for i, error in failed.items()}
+        _absorb_partials(planned, computed, call.cache)
+    return _finish_sharded(planned, call, executor.kind, failures, retries)

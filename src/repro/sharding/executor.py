@@ -21,7 +21,6 @@ frozen dataclass or a ``__slots__`` value class, hence picklable.
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import os
 from contextlib import nullcontext
@@ -31,6 +30,7 @@ from typing import Any, Hashable, Mapping, Sequence
 from ..algebra import ast as ra
 from ..datamodel.database import Database
 from ..datamodel.relation import Relation
+from ..engine.drive import completed_future
 from ..obs.trace import SpanContext
 from ..resilience import Deadline, deadline_scope, fault_point
 
@@ -127,13 +127,13 @@ def run_shard_task(task: ShardTask) -> ShardPartial:
 class ShardExecutor:
     """Base class: maps shard tasks to partial results, order-preserving.
 
-    Besides the blocking ``run``, every executor exposes an awaitable
-    submit surface for :class:`~repro.engine.aio.AsyncEngine`:
-    ``submit`` hands back a :class:`concurrent.futures.Future` per task
-    and ``run_async`` awaits a whole batch without blocking the event
-    loop (pooled executors park the work on their pools; the serial
-    executor computes at submit time, which is the documented trade-off
-    of choosing it).
+    Besides the blocking ``run`` (the sync fast path), every executor
+    hands back one :class:`concurrent.futures.Future` per task from
+    ``submit`` — the surface the resilient fan-out
+    (:func:`repro.engine.drive.run_tasks`) waits on from both the sync
+    and the async engine.  Pooled executors park the work on their
+    pools; the serial executor computes at submit time, which is the
+    documented trade-off of choosing it.
     """
 
     kind: str = "abstract"
@@ -143,21 +143,7 @@ class ShardExecutor:
 
     def submit(self, task: ShardTask) -> "concurrent.futures.Future[ShardPartial]":
         """Start one task, returning its future (base: compute inline)."""
-        future: concurrent.futures.Future = concurrent.futures.Future()
-        try:
-            future.set_result(run_shard_task(task))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-    async def run_async(self, tasks: Sequence[ShardTask]) -> list[ShardPartial]:
-        """Awaitable twin of ``run``: submit everything, gather in order."""
-        if not tasks:
-            return []
-        futures = [self.submit(task) for task in tasks]
-        return list(
-            await asyncio.gather(*(asyncio.wrap_future(f) for f in futures))
-        )
+        return completed_future(run_shard_task, task)
 
     def close(self) -> None:
         """Release any worker pool (no-op for in-process executors)."""
@@ -182,64 +168,46 @@ class SerialShardExecutor(ShardExecutor):
         return [run_shard_task(task) for task in tasks]
 
 
-class ThreadShardExecutor(ShardExecutor):
+class _PooledShardExecutor(ShardExecutor):
+    """Evaluate shards on a lazily created, reused ``concurrent.futures`` pool."""
+
+    pool_type: type
+
+    def __init__(self, max_workers: int | None = None):
+        self.max_workers = max_workers
+        self._pool: concurrent.futures.Executor | None = None
+
+    def _ensure_pool(self) -> concurrent.futures.Executor:
+        if self._pool is None:
+            self._pool = self.pool_type(max_workers=self.max_workers or (os.cpu_count() or 1))
+        return self._pool
+
+    def run(self, tasks: Sequence[ShardTask]) -> list[ShardPartial]:
+        if len(tasks) <= 1:
+            return [run_shard_task(task) for task in tasks]
+        return list(self._ensure_pool().map(run_shard_task, tasks))
+
+    def submit(self, task: ShardTask) -> "concurrent.futures.Future[ShardPartial]":
+        return self._ensure_pool().submit(run_shard_task, task)
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+
+class ThreadShardExecutor(_PooledShardExecutor):
     """Evaluate shards on a thread pool."""
 
     kind = "thread"
-
-    def __init__(self, max_workers: int | None = None):
-        self.max_workers = max_workers
-        self._pool: concurrent.futures.ThreadPoolExecutor | None = None
-
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.max_workers or (os.cpu_count() or 1)
-            )
-        return self._pool
-
-    def run(self, tasks: Sequence[ShardTask]) -> list[ShardPartial]:
-        if len(tasks) <= 1:
-            return [run_shard_task(task) for task in tasks]
-        return list(self._ensure_pool().map(run_shard_task, tasks))
-
-    def submit(self, task: ShardTask) -> "concurrent.futures.Future[ShardPartial]":
-        return self._ensure_pool().submit(run_shard_task, task)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+    pool_type = concurrent.futures.ThreadPoolExecutor
 
 
-class ProcessShardExecutor(ShardExecutor):
+class ProcessShardExecutor(_PooledShardExecutor):
     """Evaluate shards on a process pool (true parallelism)."""
 
     kind = "process"
-
-    def __init__(self, max_workers: int | None = None):
-        self.max_workers = max_workers
-        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
-
-    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.max_workers or (os.cpu_count() or 1)
-            )
-        return self._pool
-
-    def run(self, tasks: Sequence[ShardTask]) -> list[ShardPartial]:
-        if len(tasks) <= 1:
-            return [run_shard_task(task) for task in tasks]
-        return list(self._ensure_pool().map(run_shard_task, tasks))
-
-    def submit(self, task: ShardTask) -> "concurrent.futures.Future[ShardPartial]":
-        return self._ensure_pool().submit(run_shard_task, task)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+    pool_type = concurrent.futures.ProcessPoolExecutor
 
 
 _EXECUTOR_KINDS = {

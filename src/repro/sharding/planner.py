@@ -43,8 +43,7 @@ naïve evaluation is a literal evaluator so every distributive operator
 qualifies, while the Figure 2b translation rewrites ``∩`` into ``−`` and
 only supports the core operators, so its lineage is restricted to
 σ/π/ρ/×/∪.  ``allowed_ops`` accepts either operator classes or their
-names; the legacy class-set constants below remain as aliases of the
-capability declarations.
+names (``get_strategy(name).capabilities.ops_for(semantics)``).
 """
 
 from __future__ import annotations
@@ -54,37 +53,7 @@ from dataclasses import dataclass
 from ..algebra import ast as ra
 from .database import shard_relation_name
 
-__all__ = [
-    "NonDistributableError",
-    "ShardPlan",
-    "shard_plan",
-    "NAIVE_LINEAGE_OPS",
-    "NAIVE_BAG_LINEAGE_OPS",
-    "TRANSLATION_LINEAGE_OPS",
-]
-
-#: Lineage operators sound for a literal (naïve) evaluator, set semantics.
-#: (Legacy class-set alias of ``NaiveStrategy.capabilities.shardable_ops``.)
-NAIVE_LINEAGE_OPS = frozenset(
-    {
-        ra.Selection,
-        ra.Projection,
-        ra.Rename,
-        ra.Product,
-        ra.Union,
-        ra.Intersection,
-        ra.NaturalJoin,
-        ra.SemiJoin,
-    }
-)
-
-#: Under bag semantics ``min``-intersection does not distribute.
-NAIVE_BAG_LINEAGE_OPS = NAIVE_LINEAGE_OPS - {ra.Intersection}
-
-#: Lineage operators preserved one-to-one by the Figure 2 translations.
-TRANSLATION_LINEAGE_OPS = frozenset(
-    {ra.Selection, ra.Projection, ra.Rename, ra.Product, ra.Union}
-)
+__all__ = ["NonDistributableError", "ShardPlan", "shard_plan"]
 
 
 def _allowed_names(allowed_ops) -> frozenset[str]:
@@ -117,8 +86,7 @@ def shard_plan(query: ra.Query, allowed_ops: frozenset) -> ShardPlan:
     """Rewrite ``query`` for per-shard evaluation.
 
     ``allowed_ops`` may contain operator classes, operator class names,
-    or a mix (capability records declare names; the legacy constants are
-    class sets).  Raises :class:`NonDistributableError` when any lineage
+    or a mix (capability records declare names).  Raises :class:`NonDistributableError` when any lineage
     operator is outside ``allowed_ops`` (or a lineage leaf is not a base
     relation).
     """

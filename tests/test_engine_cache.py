@@ -32,6 +32,7 @@ from repro.engine import (
     StrategyOutcome,
     canonical_option_value,
     canonical_options,
+    get_strategy,
     register_strategy,
     unregister_strategy,
 )
@@ -121,14 +122,16 @@ def test_cache_bypass_escape_hatch_works_on_the_sharded_path(tiny_db):
     # for shard-aware strategies.
     from repro import builder as rb, evaluate_algebra
     from repro.sharding import ShardedDatabase
-    from repro.sharding.evaluate import SHARDABLE_STRATEGIES, ShardableSpec, merge_naive
-    from repro.sharding.planner import NAIVE_LINEAGE_OPS
 
     calls = []
 
     @register_strategy("test-shard-options")
     class _ShardOptionStrategy(EvaluationStrategy):
-        capabilities = StrategyCapabilities(semantics=("set",))
+        capabilities = StrategyCapabilities(
+            semantics=("set",),
+            shardable_ops=get_strategy("naive").capabilities.ops_for("set"),
+            shard_merge="naive-union",
+        )
 
         def run(self, query, database, *, semantics, **options):
             calls.append(dict(options))
@@ -136,9 +139,6 @@ def test_cache_bypass_escape_hatch_works_on_the_sharded_path(tiny_db):
             # fragment relations — evaluate it, don't index by name.
             return StrategyOutcome(answer=evaluate_algebra(query.algebra, database))
 
-    SHARDABLE_STRATEGIES["test-shard-options"] = ShardableSpec(
-        lineage_ops=NAIVE_LINEAGE_OPS, merge=merge_naive
-    )
     try:
         sharded = ShardedDatabase.from_database(tiny_db, 2)
         engine = Engine()
@@ -152,7 +152,6 @@ def test_cache_bypass_escape_hatch_works_on_the_sharded_path(tiny_db):
         assert result.metadata["sharding"]["mode"] == "distributed"
         assert all("knob" in c for c in calls)
     finally:
-        SHARDABLE_STRATEGIES.pop("test-shard-options", None)
         unregister_strategy("test-shard-options")
 
 

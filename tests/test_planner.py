@@ -565,48 +565,3 @@ class TestCapabilityContract:
         monkeypatch.setenv("REPRO_AUTO_EXACT_BUDGET", "1000000")
         plan = _plan(Engine().evaluate(query, db, strategy="auto", use_cache=False))
         assert plan["strategy"] == "exact-certain"
-
-    def test_legacy_merge_signature_still_works_when_sharded(self, db):
-        # Pre-capability ShardableSpec merges take (partials, *,
-        # semantics, database); the orchestrator must not force the new
-        # normalized/strategy kwargs on them.
-        from repro.engine.registry import StrategyOutcome, annotate
-        from repro.engine.result import Certainty
-        from repro.sharding import ShardedDatabase
-        from repro.sharding.evaluate import SHARDABLE_STRATEGIES, ShardableSpec
-        from repro.sharding.planner import NAIVE_LINEAGE_OPS
-        from repro import evaluate_algebra
-
-        def old_style_merge(partials, *, semantics, database):
-            rows = set()
-            for partial in partials:
-                rows |= partial.answer.rows_set()
-            answer = Relation(partials[0].answer.attributes, rows)
-            return StrategyOutcome(
-                answer=answer, annotated=annotate(answer, Certainty.POSSIBLE)
-            )
-
-        @register_strategy("test-old-merge")
-        class _OldMerge(EvaluationStrategy):
-            capabilities = StrategyCapabilities(
-                semantics=("set",), requires=("algebra",)
-            )
-
-            def run(self, query, database, *, semantics, **options):
-                return StrategyOutcome(
-                    answer=evaluate_algebra(query.algebra, database)
-                )
-
-        SHARDABLE_STRATEGIES["test-old-merge"] = ShardableSpec(
-            lineage_ops=NAIVE_LINEAGE_OPS, merge=old_style_merge
-        )
-        try:
-            sharded = ShardedDatabase.from_database(db, 2)
-            result = Engine().evaluate(
-                rb.relation("R"), sharded, strategy="test-old-merge", use_cache=False
-            )
-            assert result.metadata["sharding"]["mode"] == "distributed"
-            assert result.relation.rows_set() == db["R"].rows_set()
-        finally:
-            SHARDABLE_STRATEGIES.pop("test-old-merge", None)
-            unregister_strategy("test-old-merge")

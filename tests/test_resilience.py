@@ -277,6 +277,32 @@ def test_deadline_never_poisons_the_cache():
     assert len(result.relation) == 12
 
 
+@pytest.mark.parametrize("twin", ["Engine", "AsyncEngine"])
+def test_expired_deadline_fails_admission_even_on_a_cache_hit(twin):
+    # Admission happens while the call is prepared, before the cache
+    # probe, on both engines: an already-cached key is no way around a
+    # budget that is already gone.
+    import asyncio
+
+    from repro import AsyncEngine
+
+    db = _database()
+    plan = rb.relation("R")
+    engine = Engine()
+    assert not engine.evaluate(plan, db).from_cache
+    assert engine.evaluate(plan, db).from_cache
+
+    async def evaluate_async():
+        async with AsyncEngine(engine=engine, pool="serial") as aengine:
+            return await aengine.evaluate(plan, db, timeout=Deadline.after(0.0))
+
+    with pytest.raises(DeadlineExceeded):
+        if twin == "Engine":
+            engine.evaluate(plan, db, timeout=Deadline.after(0.0))
+        else:
+            asyncio.run(evaluate_async())
+
+
 # ----------------------------------------------------------------------
 # Engine integration: shard retry and degrade
 # ----------------------------------------------------------------------

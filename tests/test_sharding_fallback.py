@@ -25,7 +25,7 @@ from repro.sharding import (
     ShardedDatabase,
     shard_plan,
 )
-from repro.sharding.planner import NAIVE_LINEAGE_OPS, TRANSLATION_LINEAGE_OPS
+from repro.engine import get_strategy
 from repro.workloads import (
     figure1_database_with_null,
     tautology_algebra,
@@ -47,6 +47,10 @@ ALGEBRA_STRATEGIES = ("naive", "exact-certain", "approx-libkin16",
 # The Figure 2a translation materialises Dom^k for the arity-5 join of
 # the customers query (the E5 blow-up, ~20 s) — skip that combination.
 CHEAP_STRATEGIES = tuple(s for s in ALGEBRA_STRATEGIES if s != "approx-libkin16")
+
+# The shard-lineage allowlists the strategies declare in their capabilities.
+NAIVE_LINEAGE_OPS = get_strategy("naive").capabilities.ops_for("set")
+TRANSLATION_LINEAGE_OPS = get_strategy("approx-guagliardo16").capabilities.ops_for("set")
 
 
 class TestPlannerRejections:
