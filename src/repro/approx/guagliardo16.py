@@ -30,10 +30,11 @@ the same shape is measured by ``benchmarks/bench_overhead_tpch.py``.
 
 On complete databases ``Q+(D) = Q?(D) = Q(D)``.
 
-.. deprecated:: 1.1
-   As a *public* entry point, prefer ``Engine.evaluate(query, db,
-   strategy="approx-guagliardo16")`` from :mod:`repro.engine`, which
-   also evaluates the pair and annotates certain/possible answers.
+This module is the low-level layer under ``Engine.evaluate(query, db,
+strategy="approx-guagliardo16")`` (:mod:`repro.engine`): the pipeline alone,
+without the engine's cache, options, annotations or metadata.  The
+strategy, the pipeline's own tests and several experiments call it
+directly; everything else should go through the engine.
 """
 
 from __future__ import annotations

@@ -30,10 +30,11 @@ which is what makes this scheme impractical (it is the subject of
 experiment E5); the scheme of Figure 2b in
 :mod:`repro.approx.guagliardo16` avoids this.
 
-.. deprecated:: 1.1
-   As a *public* entry point, prefer ``Engine.evaluate(query, db,
-   strategy="approx-libkin16")`` from :mod:`repro.engine`, which also
-   evaluates the pair and annotates false positives.
+This module is the low-level layer under ``Engine.evaluate(query, db,
+strategy="approx-libkin16")`` (:mod:`repro.engine`): the pipeline alone,
+without the engine's cache, options, annotations or metadata.  The
+strategy, the pipeline's own tests and several experiments call it
+directly; everything else should go through the engine.
 """
 
 from __future__ import annotations

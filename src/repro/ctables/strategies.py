@@ -19,10 +19,11 @@ Every strategy has correctness guarantees (Theorem 4.9):
 the Figure 2b translation: ``Q+(D) = Eval_e,t(Q, D)`` and
 ``Q?(D) = Eval_e,p(Q, D)`` — checked in the tests and in experiment E7.
 
-.. deprecated:: 1.1
-   As a *public* entry point, prefer ``Engine.evaluate(query, db,
-   strategy="ctables", variant=...)`` from :mod:`repro.engine`; these
-   functions remain as the strategy's implementation.
+This module is the low-level layer under ``Engine.evaluate(query, db,
+strategy="ctables")`` (:mod:`repro.engine`): the pipeline alone,
+without the engine's cache, options, annotations or metadata.  The
+strategy, the pipeline's own tests and several experiments call it
+directly; everything else should go through the engine.
 """
 
 from __future__ import annotations

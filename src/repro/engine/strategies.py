@@ -5,9 +5,10 @@ contract, so the paper's whole comparison matrix is reachable through a
 single call:
 
 ==========================  ====================================================
-``sql-3vl``                 SQL's three-valued semantics
-                            (:mod:`repro.sql.evaluator`; :func:`repro.mvl.fo_sql`
-                            for calculus input)
+``sql-3vl``                 SQL's three-valued semantics (an exact 3VL plan
+                            from :func:`repro.sql.compiler.compile_sql_3vl`,
+                            else :mod:`repro.sql.evaluator`;
+                            :func:`repro.mvl.fo_sql` for calculus input)
 ``naive``                   naïve evaluation, nulls as values
                             (:mod:`repro.incomplete.naive`)
 ``exact-certain``           brute-force certain answers
@@ -38,6 +39,7 @@ from ..incomplete.naive import naive_evaluate, naive_evaluate_direct
 from ..approx.guagliardo16 import translate_guagliardo16
 from ..approx.libkin16 import translate_libkin16
 from ..mvl.fo_eval import fo_sql
+from ..sql.compiler import SqlCompilationError, compile_sql_3vl
 from ..sql.evaluator import SqlEvaluator
 from .capabilities import EXACT_FRAGMENTS_CWA, StrategyCapabilities
 from .errors import EngineError, StrategyNotApplicableError
@@ -131,6 +133,21 @@ def _require_plan_ops(name: str, algebra, allowed: frozenset[str], what: str):
         )
 
 
+def _interpreter_only(backend: str, reason: str) -> dict[str, str]:
+    """Backend metadata for a path with no plan to push into SQLite.
+
+    Unlike :func:`repro.exec.interpreter_note`, an explicit
+    ``backend="sqlite"`` raises the skippable not-applicable error, so
+    ``compare()`` omits the strategy instead of failing.
+    """
+    if backend == "sqlite":
+        raise StrategyNotApplicableError(
+            f"backend='sqlite' is not available here: {reason}; "
+            "use backend='auto' or backend='interpreter'"
+        )
+    return interpreter_note(backend, reason)
+
+
 __all__ = [
     "SqlThreeValuedStrategy",
     "NaiveStrategy",
@@ -143,12 +160,23 @@ __all__ = [
 
 @register_strategy("sql-3vl", aliases=("sql", "3vl"))
 class SqlThreeValuedStrategy(EvaluationStrategy):
-    """What a real SQL engine returns: three-valued WHERE, bag semantics."""
+    """What a real SQL engine returns: three-valued WHERE, bag semantics.
+
+    SQL input is lowered by :func:`repro.sql.compiler.compile_sql_3vl` to
+    a plan the shared pipeline (optimizer, statistics, SQLite pushdown)
+    evaluates in ``condition_mode="3vl"`` with exactly the evaluator's
+    answer; a query the lowering cannot prove exact runs on
+    :class:`~repro.sql.evaluator.SqlEvaluator` instead, and
+    ``metadata["evaluator"]``/``["fallback"]`` say which ran and why.
+    """
 
     capabilities = StrategyCapabilities(
         semantics=("set", "bag"),
         requires=("sql", "calculus"),
         bag_requires=("sql",),  # the FO evaluator is set-based
+        optimize=True,
+        stats=True,
+        backends=("interpreter", "sqlite"),
         cost="polynomial",
         # No certainty bounds: SQL answers may miss certain answers and
         # include certainly-false ones (Section 1).
@@ -156,19 +184,24 @@ class SqlThreeValuedStrategy(EvaluationStrategy):
     description = "SQL three-valued evaluation (the paper's Section 1 baseline)"
 
     def run(self, query: NormalizedQuery, database: Database, *, semantics: str, **options):
+        optimize = bool(options.pop("optimize", False))
+        stats = bool(options.pop("stats", False))
+        backend = str(options.pop("backend", "interpreter"))
         self.reject_unknown_options(options)
+        bag = semantics == "bag"
         if query.sql_ast is not None:
-            relation = SqlEvaluator(database).run(query.sql_ast)
-            evaluator = "sql-evaluator"
-            if semantics == "set":
-                relation = relation.distinct()
+            relation, metadata = self._run_sql(
+                query.sql_ast, database, bag=bag, backend=backend,
+                optimize=optimize, stats=stats,
+            )
         elif query.fo is not None:
-            if semantics == "bag":
+            if bag:
                 raise StrategyNotApplicableError(
                     "sql-3vl over a calculus query supports set semantics only"
                 )
+            backend_meta = _interpreter_only(backend, "calculus input runs on fo_sql")
             relation = fo_sql().answers(query.fo.formula, database, query.fo.free)
-            evaluator = "fo-sql"
+            metadata = {"evaluator": "fo-sql", "backend": backend_meta}
         else:
             raise StrategyNotApplicableError(
                 "strategy 'sql-3vl' needs an SQL query or an FO formula; a bare "
@@ -180,9 +213,38 @@ class SqlThreeValuedStrategy(EvaluationStrategy):
         status = Certainty.CERTAIN if database.is_complete() else Certainty.UNKNOWN
         return StrategyOutcome(
             answer=relation,
-            annotated=annotate(relation, status, bag=semantics == "bag"),
-            metadata={"evaluator": evaluator},
+            annotated=annotate(relation, status, bag=bag),
+            metadata=metadata,
         )
+
+    def _run_sql(
+        self, sql_ast, database: Database, *,
+        bag: bool, backend: str, optimize: bool, stats: bool,
+    ):
+        try:
+            plan = compile_sql_3vl(sql_ast, database.schema(), bag=bag)
+        except SqlCompilationError as exc:
+            backend_meta = _interpreter_only(
+                backend, f"the SQL evaluator runs this query ({exc})"
+            )
+            relation = SqlEvaluator(database).run(sql_ast)
+            return relation if bag else relation.distinct(), {
+                "evaluator": "sql-evaluator",
+                "fallback": str(exc),
+                "backend": backend_meta,
+            }
+        execution = execute_plans(
+            [plan],
+            database,
+            backend=backend,
+            bag=bag,
+            condition_mode="3vl",
+            optimize=optimize,
+            stats=stats,
+            strategy=self.name,
+        )
+        metadata = {"evaluator": "plan", "backend": execution.as_metadata()}
+        return execution.relations[0], metadata
 
 
 @register_strategy("naive", aliases=("naive-direct",))

@@ -27,10 +27,11 @@ Under OWA, exact computation is only offered for monotone queries
 queries :func:`certain_answers_owa` raises, matching the undecidability
 result.
 
-.. deprecated:: 1.1
-   As a *public* entry point, prefer ``Engine.evaluate(query, db,
-   strategy="exact-certain")`` from :mod:`repro.engine`; these functions
-   remain as the strategy's implementation.
+This module is the low-level layer under ``Engine.evaluate(query, db,
+strategy="exact-certain")`` (:mod:`repro.engine`): the pipeline alone,
+without the engine's cache, options, annotations or metadata.  The
+strategy, the pipeline's own tests and several experiments call it
+directly; everything else should go through the engine.
 """
 
 from __future__ import annotations

@@ -13,10 +13,11 @@ the incomplete database *is* naïve evaluation.  Both styles are exposed:
 bijective valuation — the two coincide exactly for generic queries, and
 the test suite checks that they do.
 
-.. deprecated:: 1.1
-   As a *public* entry point, prefer ``Engine.evaluate(query, db,
-   strategy="naive")`` from :mod:`repro.engine`; these functions remain
-   as the strategy's implementation.
+This module is the low-level layer under ``Engine.evaluate(query, db,
+strategy="naive")`` (:mod:`repro.engine`): the pipeline alone,
+without the engine's cache, options, annotations or metadata.  The
+strategy, the pipeline's own tests and several experiments call it
+directly; everything else should go through the engine.
 """
 
 from __future__ import annotations

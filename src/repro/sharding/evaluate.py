@@ -10,8 +10,8 @@ sync and the async engine drive.  The flow:
    (``shardable_ops``/``shardable_bag_ops`` + the ``shard_merge`` name
    resolved through :data:`SHARD_MERGES`); strategies that declare no
    lineage operators — because their correctness argument does not
-   survive horizontal partitioning (``sql-3vl`` has no algebra reading,
-   ``exact-certain`` and ``ctables`` intersect over valuations — a
+   survive horizontal partitioning (``sql-3vl`` plans from the SQL text,
+   not from the shard planner's algebra, ``exact-certain`` and ``ctables`` intersect over valuations — a
    union of per-fragment intersections under-approximates — and Figure
    2a builds ``Dom^k`` complements whose per-fragment union
    over-approximates ``Qf``) — are evaluated **coalesced**:

@@ -3,7 +3,7 @@
 from .lexer import SqlSyntaxError, Token, tokenize
 from .parser import parse
 from .evaluator import SqlEvaluator, run_sql
-from .compiler import SqlCompilationError, compile_sql
+from .compiler import SqlCompilationError, compile_sql, compile_sql_3vl
 from . import ast
 
 __all__ = [
@@ -14,6 +14,7 @@ __all__ = [
     "SqlEvaluator",
     "run_sql",
     "compile_sql",
+    "compile_sql_3vl",
     "SqlCompilationError",
     "ast",
 ]

@@ -20,10 +20,15 @@ the ``codd`` reading discussed in Section 6.
 Evaluation is bag-based (``SELECT DISTINCT`` deduplicates), matching the
 SQL standard.
 
-.. deprecated:: 1.1
-   As a *public* entry point, prefer ``Engine.evaluate(sql_text, db,
-   strategy="sql-3vl", semantics="bag")`` from :mod:`repro.engine`;
-   this evaluator remains as the strategy's implementation.
+This nested-loop evaluator is the *reference* semantics of the
+``sql-3vl`` strategy, not its usual engine: the strategy runs the plan
+of :func:`repro.sql.compiler.compile_sql_3vl` through the optimizer and
+the execution backends, and comes here only as the **fallback** for
+queries the lowering cannot prove exact (``NOT IN``, ``NOT`` over order
+comparisons, other correlations, ...).  It is also the **oracle** the
+randomized harness checks those plans against.  Like the other
+per-strategy modules it is the low-level layer under
+``Engine.evaluate(sql_text, db, strategy="sql-3vl", semantics="bag")``.
 """
 
 from __future__ import annotations

@@ -374,12 +374,33 @@ def test_physical_rules_are_mode_gated_through_the_table(db, monkeypatch):
 
 
 def test_unsupporting_strategies_do_not_receive_the_option(db):
-    from repro.engine.registry import get_strategy
-
-    assert get_strategy("sql-3vl").supports_optimize is False
-    engine = Engine()
-    # Must not raise "does not understand options ['optimize']".
-    result = engine.evaluate(
-        "SELECT a FROM R WHERE a = 1", db, strategy="sql-3vl", optimize=True
+    from repro.engine import (
+        EvaluationStrategy,
+        StrategyCapabilities,
+        StrategyOutcome,
+        get_strategy,
+        register_strategy,
+        unregister_strategy,
     )
-    assert result.relation.rows_set() == {(1,)}
+    from repro.sql import run_sql
+
+    @register_strategy("test-no-optimize")
+    class _NoOptimize(EvaluationStrategy):
+        capabilities = StrategyCapabilities(
+            semantics=("set",), requires=("sql",), optimize=False
+        )
+
+        def run(self, query, database, *, semantics, **options):
+            self.reject_unknown_options(options)
+            return StrategyOutcome(answer=run_sql(database, query.sql_text))
+
+    try:
+        assert get_strategy("test-no-optimize").supports_optimize is False
+        engine = Engine()
+        # Must not raise "does not understand options ['optimize']".
+        result = engine.evaluate(
+            "SELECT a FROM R WHERE a = 1", db, strategy="test-no-optimize", optimize=True
+        )
+        assert result.relation.rows_set() == {(1,)}
+    finally:
+        unregister_strategy("test-no-optimize")
