@@ -39,6 +39,9 @@ Layers:
 * :mod:`repro.engine.core` — :class:`Engine` and :class:`Session`, and
   the evaluate pipeline written once as steps;
 * :mod:`repro.engine.drive` — the sync and async drivers of those steps;
+* :mod:`repro.engine.workers` — the worker protocol: one picklable
+  :class:`Task`, one entry point :func:`run_task` and one
+  :class:`WorkerPool` for shard fan-out and async dispatch;
 * :mod:`repro.engine.aio` — :class:`AsyncEngine` and
   :class:`AsyncSession`, which drive the same pipeline from an event
   loop with concurrent batch/compare fan-out over a worker pool.
@@ -61,7 +64,7 @@ from .capabilities import EXACT_FRAGMENTS_CWA, StrategyCapabilities
 from .spec import CallSpec
 from .shm_cache import SharedMemoryCacheBackend
 from .core import Engine, Session, default_engine, evaluate
-from .aio import AsyncEngine, AsyncSession, EngineTask, run_engine_task
+from .aio import AsyncEngine, AsyncSession
 from .errors import (
     EngineError,
     NormalizationError,
@@ -82,6 +85,7 @@ from .registry import (
     unregister_strategy,
 )
 from .result import AnnotatedTuple, Certainty, QueryResult
+from .workers import Task, TaskResult, WorkerPool, run_task
 
 # Importing the module registers the built-in strategies.
 from . import strategies as _builtin_strategies  # noqa: F401
@@ -96,8 +100,11 @@ __all__ = [
     # Async façade
     "AsyncEngine",
     "AsyncSession",
-    "EngineTask",
-    "run_engine_task",
+    # Worker protocol
+    "Task",
+    "TaskResult",
+    "WorkerPool",
+    "run_task",
     # Results
     "QueryResult",
     "AnnotatedTuple",

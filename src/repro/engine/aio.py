@@ -17,15 +17,16 @@ steps (:mod:`repro.engine.drive`) — validation, planning, caching,
 sharding, resilience and tracing are the sync engine's code.  It
 differs only in how it answers the steps:
 
-* **Worker dispatch.**  A cache miss is shipped to a
-  ``concurrent.futures`` pool over the picklable
-  :func:`~repro.engine.core.run_engine_task` entry point.
-  ``pool="process"`` (the default) gives true parallelism across cores;
-  ``"thread"`` keeps everything in-process; ``"serial"`` computes inline
-  on the event loop (deterministic debugging); an existing
-  ``concurrent.futures.Executor`` instance is used as-is and never shut
-  down by the engine.  Waits are bounded by the call's deadline and
-  transient failures are retried by the same loop that fans out shards.
+* **Worker dispatch.**  A cache miss is shipped as a picklable
+  :class:`~repro.engine.workers.Task` to a
+  :class:`~repro.engine.workers.WorkerPool` — the same protocol and pool
+  the shard fan-out uses.  ``pool="process"`` (the default) gives true
+  parallelism across cores; ``"thread"`` keeps everything in-process;
+  ``"serial"`` computes inline on the event loop (deterministic
+  debugging); an existing ``concurrent.futures.Executor`` instance is
+  used as-is and never shut down by the engine.  Waits are bounded by
+  the call's deadline and transient failures are retried by the same
+  loop that fans out shards.
 * **Bounded fan-out.**  ``max_concurrency`` caps in-flight dispatches
   with an :class:`asyncio.Semaphore`, held only around a hop onto
   workers (never while awaiting another engine call), so nested paths —
@@ -52,30 +53,21 @@ inherited by pool workers created *after* registration, otherwise use
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import contextlib
-import os
 from typing import Any, Hashable, Iterable, Mapping, Sequence
 
 from ..datamodel.database import Database
 from ..obs.explain import render_explain
-from ..obs.trace import SpanContext, current_span
+from ..obs.trace import SpanContext
 from .cache import CacheStats
-from .core import (
-    Engine,
-    EngineTask,
-    PreparedCall,
-    SessionBase,
-    run_engine_task,
-)
-from .drive import Compute, Dispatch, answer_async, completed_future, drive_async, run_tasks
+from .core import Engine, PreparedCall, SessionBase
+from .drive import Compute, Dispatch, answer_async, drive_async, run_tasks
 from .errors import EngineError, StrategyNotApplicableError
 from .result import QueryResult
 from .spec import ENGINE_KEYWORDS, check_settings
+from .workers import resolve_pool
 
-__all__ = ["AsyncEngine", "AsyncSession", "EngineTask", "run_engine_task"]
-
-_POOL_KINDS = ("process", "thread", "serial")
+__all__ = ["AsyncEngine", "AsyncSession"]
 
 
 class _InFlight:
@@ -97,27 +89,6 @@ class _InFlight:
         self.waiters = 0
 
 
-class _Workers:
-    """The engine's worker pool behind the ``submit``/``reset`` surface
-    :func:`~repro.engine.drive.run_tasks` drives."""
-
-    def __init__(self, engine: "AsyncEngine"):
-        self._engine = engine
-
-    def submit(self, task: EngineTask) -> concurrent.futures.Future:
-        engine = self._engine
-        if engine._pool_kind == "serial":
-            return completed_future(run_engine_task, task)
-        return engine._pool_executor().submit(run_engine_task, task)
-
-    def reset(self) -> None:
-        """Discard a broken owned pool so the next submit respawns it."""
-        engine = self._engine
-        if engine._owns_pool and engine._pool is not None:
-            engine._pool.shutdown(wait=False, cancel_futures=True)
-            engine._pool = None
-
-
 class AsyncEngine:
     """Evaluates queries concurrently on an asyncio event loop.
 
@@ -137,26 +108,12 @@ class AsyncEngine:
         **settings: Any,
     ):
         check_settings("AsyncEngine", settings)
-        self._owns_engine = engine is None
-        self._engine = engine or Engine(**settings)
-        if isinstance(pool, concurrent.futures.Executor):
-            self._pool: concurrent.futures.Executor | None = pool
-            self._owns_pool = False
-            self._pool_kind = type(pool).__name__
-        elif pool in _POOL_KINDS:
-            self._pool = None
-            self._owns_pool = True
-            self._pool_kind = pool
-        else:
-            raise EngineError(
-                f"unknown worker pool {pool!r}; expected one of {_POOL_KINDS} "
-                "or a concurrent.futures.Executor instance"
-            )
+        self._pool = resolve_pool(pool, max_workers)
         if max_concurrency is not None and max_concurrency < 1:
             raise EngineError("max_concurrency must be a positive integer or None")
-        self.max_workers = max_workers
+        self._owns_engine = engine is None
+        self._engine = engine or Engine(**settings)
         self.max_concurrency = max_concurrency
-        self._workers = _Workers(self)
         # Loop-bound state, (re)created by _bind_loop so one AsyncEngine
         # survives successive asyncio.run() invocations.
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -196,16 +153,14 @@ class AsyncEngine:
 
     @property
     def pool_kind(self) -> str:
-        return self._pool_kind
+        return self._pool.kind
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the worker pool and, if owned, the inner engine."""
-        if self._owns_pool and self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Release the pool's workers and, if owned, close the inner engine."""
+        self._pool.close()
         if self._owns_engine:
             self._engine.close()
 
@@ -238,19 +193,6 @@ class AsyncEngine:
         if self._semaphore is not None:
             return self._semaphore
         return contextlib.nullcontext()
-
-    def _pool_executor(self) -> concurrent.futures.Executor:
-        if self._pool is None:
-            workers = self.max_workers or (os.cpu_count() or 1)
-            if self._pool_kind == "process":
-                self._pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=workers
-                )
-            else:  # "thread"
-                self._pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=workers
-                )
-        return self._pool
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -336,12 +278,14 @@ class AsyncEngine:
     async def _compute(self, call: PreparedCall, key: Hashable | None) -> QueryResult:
         # SpanContext.capture() is None when the caller is untraced.  The
         # computation task's context was copied from the (leader) caller,
-        # so the graft below lands under that caller's live span.
+        # so run_tasks grafts the worker's spans under that caller's live
+        # span — never into the stored result, which may be shared
+        # through the result cache.
         task = call.task(trace=SpanContext.capture())
         (computed,), _, retries = await self._answer(
             Dispatch(
                 run_tasks(
-                    self._workers,
+                    self._pool,
                     [task],
                     deadline=call.deadline,
                     retry=call.spec.retry,
@@ -349,10 +293,6 @@ class AsyncEngine:
                 )
             )
         )
-        if computed.trace is not None:
-            # Into the live trace only — never into the stored result,
-            # which may be shared through the result cache.
-            current_span().graft(computed.trace)
         return self._engine._store(call, key, computed, retries)
 
     async def evaluate_batch(

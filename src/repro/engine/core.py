@@ -23,9 +23,8 @@ to one database and memoises the database fingerprint.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..datamodel.database import Database
@@ -33,7 +32,7 @@ from ..exec import interpreter_note
 from ..obs import metrics as obs_metrics
 from ..obs.explain import render_explain
 from ..obs.trace import Span, SpanContext, span, start_trace
-from ..resilience import Deadline, breaker_snapshots, deadline_scope, resolve_deadline
+from ..resilience import Deadline, breaker_snapshots, resolve_deadline
 from .cache import (
     CacheBackend,
     CacheStats,
@@ -45,91 +44,18 @@ from .drive import Compute, Dispatch, answer_sync, drive
 from .errors import StrategyNotApplicableError
 from .frontend import NormalizedQuery, normalize_query
 from .planner import AUTO, PlanDecision, choose_strategy, default_exact_budget
-from .registry import EvaluationStrategy, StrategyOutcome, available_strategies, get_strategy
+from .registry import EvaluationStrategy, available_strategies, get_strategy
 from .result import QueryResult
 from .spec import CALL_FIELDS, ENGINE_KEYWORDS, CallSpec, check_settings
+from .workers import Task, TaskResult, WorkerPool, resolve_pool, run_task
 
 __all__ = [
     "Engine",
     "Session",
-    "EngineTask",
     "PreparedCall",
     "default_engine",
     "evaluate",
-    "run_engine_task",
 ]
-
-
-@dataclass(frozen=True)
-class EngineTask:
-    """One monolithic evaluation, self-contained and picklable.
-
-    Everything a worker needs: the normalized query (frozen dataclasses
-    all the way down), the database, and the strategy resolved by name
-    inside the worker — mirroring
-    :class:`~repro.sharding.executor.ShardTask`.
-    """
-
-    normalized: Any
-    database: Database
-    strategy: str
-    semantics: str
-    options: tuple[tuple[str, Any], ...] = ()
-    #: Wall-clock budget carried to the worker (compare=False like
-    #: :class:`~repro.sharding.executor.ShardTask`: a deadline changes
-    #: whether a task finishes, never what it computes).
-    deadline: Deadline | None = field(default=None, compare=False)
-    #: Trace linkage (:class:`repro.obs.SpanContext`) when the caller
-    #: evaluates with ``trace=True`` on a worker pool: the worker records
-    #: its own span tree and ships the export back on the task result,
-    #: where the caller grafts it into the live trace.  Excluded from
-    #: equality like the deadline — tracing observes, never steers.
-    trace: SpanContext | None = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class EngineTaskResult:
-    """A strategy outcome plus the worker-side wall-clock time."""
-
-    outcome: StrategyOutcome
-    elapsed: float
-    #: The worker's exported span tree (None when the task was untraced).
-    trace: Any = None
-
-
-def run_engine_task(task: EngineTask) -> EngineTaskResult:
-    """Evaluate one engine task; also the worker-process entry point.
-
-    Unpickling the task in a spawned worker imports this module, which
-    runs ``repro.engine.__init__`` and thereby registers the built-in
-    strategies before the lookup by name (the ``run_shard_task``
-    pattern).
-    """
-    strategy = get_strategy(task.strategy)
-    with (
-        nullcontext(None)
-        if task.trace is None
-        else task.trace.activate("worker", strategy=task.strategy)
-    ) as root:
-        start = time.perf_counter()
-        # The deadline travels implicitly (context variable), never in
-        # ``options``: it must not reach strategy option validation or
-        # the cache key.
-        with deadline_scope(task.deadline):
-            outcome = strategy.run(
-                task.normalized,
-                task.database,
-                semantics=task.semantics,
-                **dict(task.options),
-            )
-        elapsed = time.perf_counter() - start
-        if root is not None:
-            root.incr("rows_out", len(outcome.answer))
-    return EngineTaskResult(
-        outcome=outcome,
-        elapsed=elapsed,
-        trace=None if root is None else root.export(),
-    )
 
 
 @dataclass(eq=False)
@@ -155,8 +81,9 @@ class PreparedCall:
     #: The trace root when ``spec.trace`` is on.
     root: Span | None
 
-    def task(self, trace: SpanContext | None = None) -> EngineTask:
-        return EngineTask(
+    def task(self, trace: SpanContext | None = None) -> Task:
+        """The whole-query worker task of this call."""
+        return Task(
             normalized=self.normalized,
             database=self.database,
             strategy=self.strategy.name,
@@ -289,7 +216,7 @@ class Engine:
         self._cache.clear()
 
     def close(self) -> None:
-        """Shut down any shard-executor worker pools this engine created.
+        """Shut down any shard worker pools this engine created.
 
         Long-lived applications that discard engines should call this
         (or use the engine as a context manager); otherwise process
@@ -394,7 +321,7 @@ class Engine:
         """The sync driver: compute misses inline, block on futures."""
         if isinstance(step, Compute):
             with span("execute", strategy=step.call.strategy.name) as execute:
-                computed = run_engine_task(step.call.task())
+                computed = run_task(step.call.task())
                 execute.incr("rows_out", len(computed.outcome.answer))
             return self._store(step.call, step.key, computed)
         if isinstance(step, Dispatch):
@@ -517,7 +444,7 @@ class Engine:
         self,
         call: PreparedCall,
         key: Hashable | None,
-        computed: EngineTaskResult,
+        computed: TaskResult,
         retries: int = 0,
     ) -> QueryResult:
         """Build the result of a computed miss and put it in the cache.
@@ -607,17 +534,14 @@ class Engine:
             database, shards, partitioner or self.defaults.partitioner
         )
 
-    def _shard_executor(self, spec: Any):
-        """Resolve (and memoise) the shard executor for this call."""
-        from ..sharding.executor import ShardExecutor, resolve_executor
-
-        if isinstance(spec, ShardExecutor):
+    def _shard_executor(self, spec: Any) -> WorkerPool:
+        """Resolve (and memoise) the shard worker pool for this call."""
+        if isinstance(spec, WorkerPool):
             return spec
-        executor = self._executors.get(spec)
-        if executor is None:
-            executor = resolve_executor(spec)
-            self._executors[spec] = executor
-        return executor
+        pool = self._executors.get(spec)
+        if pool is None:
+            pool = self._executors[spec] = resolve_pool(spec)
+        return pool
 
     # -- batch and compare: one call builder each ------------------------
     def _shared(

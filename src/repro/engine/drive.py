@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Generator, Hashable, Sequence
 
+from ..obs.trace import current_span
 from ..resilience import Deadline, DeadlineExceeded, RetryPolicy
 
 __all__ = [
@@ -160,14 +161,16 @@ def run_tasks(
     :class:`DeadlineExceeded` even while tasks are still running.
     However the loop exits, every task still pending is cancelled.
 
-    ``executor`` needs ``submit(task)`` (and ``run(tasks)`` for the sync
-    fast path); an optional ``reset()`` revives a broken pool before a
-    retry is resubmitted.
+    ``executor`` is a :class:`~repro.engine.workers.WorkerPool` (or
+    anything with its ``submit``/``run``/``reset``): ``reset()`` revives
+    a broken pool before a retry is resubmitted.  Each
+    :class:`~repro.engine.workers.TaskResult` that carries a worker span
+    tree is grafted under the span live around the fan-out.
     """
     if on_error == "raise" and retry is None and deadline is None:
         inline = yield RunInline(executor, tasks)
         if inline is not None:
-            return list(inline), {}, 0
+            return _grafted(list(inline)), {}, 0
     results: list[Any] = [None] * len(tasks)
     failures: dict[int, str] = {}
     retries = 0
@@ -199,7 +202,7 @@ def run_tasks(
                             pause = min(pause, deadline.remaining())
                         if pause > 0:
                             yield Sleep(pause)
-                        if _is_broken_pool(exc) and hasattr(executor, "reset"):
+                        if _is_broken_pool(exc):
                             executor.reset()
                         pending[(yield Submit(executor, tasks[index]))] = index
                         continue
@@ -215,7 +218,16 @@ def run_tasks(
                 # Finished alongside the failure being raised: read its
                 # outcome so no error goes unretrieved.
                 future.exception()
-    return results, failures, retries
+    return _grafted(results), failures, retries
+
+
+def _grafted(results: list[Any]) -> list[Any]:
+    """Graft each traced result's worker spans under the live span, in
+    task order (``None`` holes are dropped tasks)."""
+    for result in results:
+        if result is not None and result.trace is not None:
+            current_span().graft(result.trace)
+    return results
 
 
 # ----------------------------------------------------------------------

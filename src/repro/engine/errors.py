@@ -29,7 +29,7 @@ class UnknownStrategyError(EngineError):
         # BaseException pickles via ``args`` (here: the formatted
         # message), which does not round-trip through this two-argument
         # __init__.  The error must survive a worker-process boundary —
-        # run_engine_task/run_shard_task resolve strategies by name in
+        # run_task resolves strategies by name in
         # the worker — or the unpickle failure breaks the whole pool.
         return (type(self), (self.name, self.available))
 

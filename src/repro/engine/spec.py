@@ -23,6 +23,7 @@ from typing import Any, Mapping
 from ..exec import validate_backend
 from ..resilience import Deadline, RetryPolicy, resolve_retry
 from .errors import EngineError
+from .workers import pool_kind
 
 __all__ = ["CallSpec", "CALL_FIELDS", "ENGINE_KEYWORDS", "check_settings"]
 
@@ -66,7 +67,9 @@ class CallSpec:
     trace: bool = False
     #: Shard count: ``None`` = the engine default, ``0`` = monolithic.
     shards: int | None = None
-    #: Shard executor name or :class:`~repro.sharding.ShardExecutor`.
+    #: Shard worker pool: a kind name (``"serial"``, ``"thread"``,
+    #: ``"process"``) or a :class:`~repro.engine.workers.WorkerPool`
+    #: (see :func:`~repro.engine.workers.resolve_pool`).
     executor: Any = "serial"
     #: :class:`~repro.sharding.Partitioner` for on-the-fly sharding.
     partitioner: Any = None
@@ -81,6 +84,7 @@ class CallSpec:
         validate_backend(self.backend)
         if self.shards is not None and self.shards < 0:
             raise EngineError("shards must be a non-negative integer or None")
+        pool_kind(self.executor)
         if self.on_shard_error not in ON_SHARD_ERROR:
             raise EngineError(
                 f"unknown on_shard_error {self.on_shard_error!r}; "

@@ -1,0 +1,251 @@
+"""The worker protocol: one picklable task, one entry point, one pool.
+
+Every evaluation regime the engine runs is a pure function of (query,
+database), so a strategy run can be shipped to a worker as plain data.
+One protocol carries it, whether the run is a whole query — a cache miss
+of :class:`~repro.engine.aio.AsyncEngine`, or the sync engine computing
+inline — or one shard of a sharded query
+(:mod:`repro.sharding.evaluate`):
+
+* :class:`Task` — the normalized query, the database, the strategy name,
+  semantics and options, the deadline, the trace context, and, for a
+  shard, its index and partial-cache key.  Everything in it is a frozen
+  dataclass or a ``__slots__`` value class, hence picklable.
+* :func:`run_task` — the one worker entry point, returning a
+  :class:`TaskResult` (the strategy outcome, the worker-side wall time
+  and, when traced, the worker's exported span tree).
+* :class:`WorkerPool` — runs tasks serially, on a thread pool or on a
+  process pool, behind the ``submit``/``run``/``reset``/``close``/
+  ``kind`` surface :func:`~repro.engine.drive.run_tasks` drives.
+  :func:`resolve_pool` turns a ``pool=``/``executor=`` value into one.
+
+Custom strategies registered at runtime exist only in the parent
+process; with the default ``fork`` start method on Linux they are
+inherited by process workers created *after* registration.
+"""
+
+from __future__ import annotations
+
+import concurrent.futures
+import os
+import time
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
+from typing import Any, Hashable, Sequence
+
+from ..datamodel.database import Database
+from ..obs.trace import SpanContext
+from ..resilience import Deadline, deadline_scope, fault_point
+from .drive import completed_future
+from .errors import EngineError
+from .frontend import NormalizedQuery
+from .registry import StrategyOutcome, get_strategy
+
+__all__ = [
+    "POOL_KINDS",
+    "Task",
+    "TaskResult",
+    "WorkerPool",
+    "pool_kind",
+    "resolve_pool",
+    "run_task",
+]
+
+
+@dataclass(frozen=True)
+class Task:
+    """One strategy run, self-contained and picklable."""
+
+    normalized: NormalizedQuery
+    database: Database
+    strategy: str
+    semantics: str
+    options: tuple[tuple[str, Any], ...] = ()
+    #: Wall-clock budget carried to the worker (the absolute monotonic
+    #: point is system-wide on Linux).  Excluded from equality: a
+    #: deadline changes whether a task finishes, never what it computes.
+    deadline: Deadline | None = field(default=None, compare=False)
+    #: Trace linkage when the caller evaluates with ``trace=True``: the
+    #: worker records its own span tree and ships the export back on the
+    #: :class:`TaskResult`, where the fan-out grafts it into the live
+    #: trace.  Excluded from equality — tracing observes, never steers.
+    trace: SpanContext | None = field(default=None, compare=False)
+    #: The shard index, or ``None`` for a whole-query task.
+    shard: int | None = None
+    #: The partial-cache key the orchestrator stores a shard's outcome
+    #: under (opaque here).
+    cache_key: Hashable = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class TaskResult:
+    """A strategy outcome plus the worker-side wall-clock time."""
+
+    outcome: StrategyOutcome
+    elapsed: float
+    #: The worker's exported span tree (``None`` when untraced).
+    trace: Any = None
+
+
+def run_task(task: Task) -> TaskResult:
+    """Run one task; also the worker-process entry point.
+
+    Unpickling a task in a spawned worker imports this module, which
+    runs ``repro.engine.__init__`` and thereby registers the built-in
+    strategies before the lookup by name.  A traced task opens a
+    ``worker`` root (whole query) or a ``shard[i]`` root (shard task);
+    the ``shard.task`` fault point fires for shard tasks only, and a
+    shard outcome comes back without per-row annotations.
+    """
+    if task.shard is None:
+        name, attrs = "worker", {"strategy": task.strategy}
+    else:
+        fault_point("shard.task", shard=task.shard, strategy=task.strategy)
+        name, attrs = f"shard[{task.shard}]", {"shard": task.shard, "strategy": task.strategy}
+    strategy = get_strategy(task.strategy)
+    with nullcontext(None) if task.trace is None else task.trace.activate(name, **attrs) as root:
+        start = time.perf_counter()
+        # The deadline travels implicitly (context variable), never in
+        # ``options``: it must not reach strategy option validation or
+        # the cache key.
+        with deadline_scope(task.deadline):
+            outcome = strategy.run(
+                task.normalized,
+                task.database,
+                semantics=task.semantics,
+                **dict(task.options),
+            )
+        elapsed = time.perf_counter() - start
+        if root is not None:
+            root.incr("rows_out", len(outcome.answer))
+    if task.shard is not None:
+        # Shard merges rebuild the per-row annotations from the answer
+        # relations; shipping and caching them would only cost pickling
+        # time and memory.
+        outcome = replace(outcome, annotated=())
+    return TaskResult(
+        outcome=outcome,
+        elapsed=elapsed,
+        trace=None if root is None else root.export(),
+    )
+
+
+# ----------------------------------------------------------------------
+# The pool
+# ----------------------------------------------------------------------
+#: Pool kind -> the ``concurrent.futures`` executor class it spawns
+#: (``None``: tasks run in the calling thread).
+_EXECUTORS = {
+    "serial": None,
+    "thread": concurrent.futures.ThreadPoolExecutor,
+    "process": concurrent.futures.ProcessPoolExecutor,
+}
+#: Accepted plural spellings of the kinds.
+_SPELLINGS = {"threads": "thread", "processes": "process"}
+POOL_KINDS = tuple(_EXECUTORS)
+
+
+def _unknown_pool(spec: Any) -> EngineError:
+    return EngineError(
+        f"unknown worker pool {spec!r}; expected one of {POOL_KINDS}, "
+        "a concurrent.futures.Executor or a WorkerPool instance"
+    )
+
+
+def pool_kind(spec: Any, *, names_only: bool = False) -> str:
+    """The kind of pool ``spec`` names, or :class:`EngineError`.
+
+    ``spec`` is a kind name, ``None`` (serial), a :class:`WorkerPool`
+    (its ``kind``) or a ``concurrent.futures.Executor`` (its class
+    name); ``names_only`` accepts kind names alone.
+    """
+    if isinstance(spec, str):
+        kind = _SPELLINGS.get(spec, spec)
+        if kind in _EXECUTORS:
+            return kind
+    elif not names_only:
+        if spec is None:
+            return "serial"
+        if isinstance(spec, WorkerPool):
+            return spec.kind
+        if isinstance(spec, concurrent.futures.Executor):
+            return type(spec).__name__
+    raise _unknown_pool(spec)
+
+
+class WorkerPool:
+    """Runs tasks through :func:`run_task`, order-preserving.
+
+    ``kind`` is ``"serial"`` (compute in the calling thread; ``submit``
+    hands back an already-done future), ``"thread"`` or ``"process"``
+    (a lazily created ``concurrent.futures`` pool of ``max_workers``,
+    default the CPU count).  Pass an existing
+    ``concurrent.futures.Executor`` instead to use it as-is: its class
+    name becomes the kind, and the pool never shuts it down.
+
+    ``close`` releases the workers (a later ``submit`` spawns fresh
+    ones); ``reset`` discards a broken pool without waiting — the retry
+    path calls it after ``BrokenProcessPool`` and friends, since a
+    crashed worker breaks the whole pool.  Subclasses overriding
+    ``submit``/``run`` need not call ``__init__``.
+    """
+
+    kind: str = "serial"
+    max_workers: int | None = None
+    _executor: concurrent.futures.Executor | None = None
+    _owned: bool = True
+
+    def __init__(self, kind: Any = "serial", max_workers: int | None = None):
+        if isinstance(kind, concurrent.futures.Executor):
+            self._executor = kind
+            self._owned = False
+        self.kind = pool_kind(kind)
+        self.max_workers = max_workers
+
+    def _pool(self) -> concurrent.futures.Executor:
+        if self._executor is None:
+            self._executor = _EXECUTORS[self.kind](
+                max_workers=self.max_workers or (os.cpu_count() or 1)
+            )
+        return self._executor
+
+    def submit(self, task: Task) -> "concurrent.futures.Future[TaskResult]":
+        """Start one task, returning its future."""
+        if self.kind == "serial":
+            return completed_future(run_task, task)
+        return self._pool().submit(run_task, task)
+
+    def run(self, tasks: Sequence[Task]) -> list[TaskResult]:
+        """Run every task and block for the results (the sync fast path;
+        a lone task runs inline)."""
+        if self.kind == "serial" or len(tasks) <= 1:
+            return [run_task(task) for task in tasks]
+        return list(self._pool().map(run_task, tasks))
+
+    def reset(self) -> None:
+        """Discard a (possibly broken) owned pool so the next submit
+        gets a fresh one."""
+        if self._owned and self._executor is not None:
+            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._executor = None
+
+    def close(self) -> None:
+        """Shut down the owned pool's workers (a borrowed executor is
+        left running)."""
+        if self._owned and self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}({self.kind!r}, max_workers={self.max_workers})"
+
+
+def resolve_pool(spec: Any, max_workers: int | None = None) -> WorkerPool:
+    """Turn a ``pool=``/``executor=`` value into a :class:`WorkerPool`.
+
+    A :class:`WorkerPool` is returned as-is; a kind name, ``None``
+    (serial) or a ``concurrent.futures.Executor`` gets a new pool.
+    """
+    if isinstance(spec, WorkerPool):
+        return spec
+    return WorkerPool(spec, max_workers)

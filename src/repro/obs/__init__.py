@@ -7,7 +7,7 @@ discipline as :mod:`repro.resilience`:
   opens a root span per ``trace=True`` evaluation; instrumented code
   opens children with ``with span("optimize"):`` and attaches counters
   to :func:`current_span`.  A picklable :class:`SpanContext` rides
-  ``EngineTask``/``ShardTask`` into process pools so worker spans stitch
+  the worker ``Task`` into process pools so worker spans stitch
   back under the parent.  When no trace is active, :func:`span` is one
   context-variable read — no allocation.
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`

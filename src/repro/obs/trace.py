@@ -17,7 +17,7 @@ answer, only describe how it was produced.
 
 Crossing process pools: a :class:`Span` holds live children and cannot
 be pickled, so :meth:`SpanContext.capture` snapshots just enough
-identity to ride an ``EngineTask``/``ShardTask`` into a worker.  The
+identity to ride a worker ``Task`` (:mod:`repro.engine.workers`).  The
 worker calls :meth:`SpanContext.activate` to open a *fresh local* root
 (replacing, not extending, any ambient trace — under serial or thread
 executors the orchestrator's trace is ambient in the same context and

@@ -9,10 +9,9 @@ through to close that gap:
 * :mod:`repro.resilience.deadline` — :class:`Deadline`, a wall-clock
   budget accepted as ``timeout=`` on ``Engine``/``Session`` (and their
   async twins) and as ``timeout_ms`` per server request.  It propagates
-  into :class:`~repro.sharding.executor.ShardTask` /
-  :class:`~repro.engine.aio.EngineTask` and is checked at evaluator
-  loop boundaries, so long ``Dom^k`` enumerations and shard fan-outs
-  abort with :class:`DeadlineExceeded` instead of hanging.
+  into the worker :class:`~repro.engine.workers.Task` and is checked at
+  evaluator loop boundaries, so long ``Dom^k`` enumerations and shard
+  fan-outs abort with :class:`DeadlineExceeded` instead of hanging.
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy`, capped
   exponential backoff with *deterministic* jitter, applied to transient
   failures (killed pool workers, shm attach races, SQLite

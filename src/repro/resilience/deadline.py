@@ -2,8 +2,8 @@
 
 A :class:`Deadline` is an absolute point on the monotonic clock plus the
 original budget (for error messages).  It is a frozen dataclass of two
-floats, hence picklable: :class:`~repro.sharding.executor.ShardTask` and
-:class:`~repro.engine.aio.EngineTask` carry it across worker-process
+floats, hence picklable: the worker :class:`~repro.engine.workers.Task`
+carries it across worker-process
 boundaries (on Linux ``CLOCK_MONOTONIC`` is system-wide, so the absolute
 point means the same thing in the worker as in the parent).
 

@@ -24,6 +24,7 @@ from typing import Any, Iterator, Mapping
 
 from ..datamodel.database import Database
 from ..resilience import RetryPolicy, resolve_retry
+from .service import WIRE_SETTINGS
 from .wire import encode_database
 
 __all__ = [
@@ -195,37 +196,26 @@ class ServerClient:
         db: str,
         query_ref: str | None = None,
         strategy: str | None = None,
-        semantics: str | None = None,
-        use_cache: bool = True,
         request_id: str | None = None,
-        timeout_ms: float | None = None,
-        on_shard_error: str | None = None,
-        **options: Any,
+        **settings: Any,
     ) -> dict[str, Any]:
         """Evaluate one query; returns the decoded response object.
 
-        ``timeout_ms`` caps the server-side evaluation wall clock (the
-        server answers 504, raised here as :class:`ServerTimeoutError`);
-        ``on_shard_error`` selects the sharded failure policy
-        (``"raise"``/``"retry"``/``"degrade"``).
+        Keywords naming a wire setting (the server's
+        :data:`~repro.server.service.WIRE_SETTINGS`: ``semantics``,
+        ``use_cache``, ``optimize``, ``backend``, ``timeout_ms``,
+        ``on_shard_error``, ``trace``) travel as request keys; any other
+        keyword is a strategy option.  ``timeout_ms`` caps the
+        server-side evaluation wall clock (the server answers 504,
+        raised here as :class:`ServerTimeoutError`).
         """
-        payload: dict[str, Any] = {"db": db, "use_cache": use_cache}
+        payload = _payload(db, strategy, request_id, settings)
         if query is not None:
             payload["query"] = query
         if query_ref is not None:
             payload["query_ref"] = query_ref
-        if strategy is not None:
-            payload["strategy"] = strategy
-        if semantics is not None:
-            payload["semantics"] = semantics
-        if request_id is not None:
-            payload["id"] = request_id
-        if timeout_ms is not None:
-            payload["timeout_ms"] = timeout_ms
-        if on_shard_error is not None:
-            payload["on_shard_error"] = on_shard_error
-        if options:
-            payload["options"] = options
+        if settings:
+            payload["options"] = settings
         # Evaluation is read-only, so a replay after a dead connection
         # is safe.
         return self._request("POST", "/query", payload, idempotent=True)
@@ -236,34 +226,23 @@ class ServerClient:
         *,
         db: str,
         strategy: str | None = None,
-        semantics: str | None = None,
-        use_cache: bool = True,
         request_id: str | None = None,
-        timeout_ms: float | None = None,
-        on_shard_error: str | None = None,
+        **settings: Any,
     ) -> Iterator[dict[str, Any]]:
         """Stream batch results as the server finishes them.
 
-        Yields one dict per query (``{"index": i, "result": ...}`` or
-        ``{"index": i, "error": ...}``) followed by the summary line
-        (``{"done": true, ...}``).  The stream must be consumed from a
-        single thread.
+        Takes the wire settings :meth:`query` does, applied to every
+        item (an item may be a request object of its own, e.g. with
+        ``"options"``).  Yields one dict per query (``{"index": i,
+        "result": ...}`` or ``{"index": i, "error": ...}``) followed by
+        the summary line (``{"done": true, ...}``).  The stream must be
+        consumed from a single thread.
         """
-        payload: dict[str, Any] = {
-            "db": db,
-            "queries": queries,
-            "use_cache": use_cache,
-        }
-        if strategy is not None:
-            payload["strategy"] = strategy
-        if semantics is not None:
-            payload["semantics"] = semantics
-        if request_id is not None:
-            payload["id"] = request_id
-        if timeout_ms is not None:
-            payload["timeout_ms"] = timeout_ms
-        if on_shard_error is not None:
-            payload["on_shard_error"] = on_shard_error
+        payload = _payload(db, strategy, request_id, settings)
+        if settings:
+            name = next(iter(settings))
+            raise TypeError(f"batch() got an unexpected keyword argument {name!r}")
+        payload["queries"] = queries
         with self._lock:
             conn = self._connection()
             conn.request(
@@ -300,3 +279,20 @@ class ServerClient:
             return bool(payload.get("cancelled"))
         finally:
             conn.close()
+
+
+def _payload(
+    db: str, strategy: str | None, request_id: str | None, settings: dict[str, Any]
+) -> dict[str, Any]:
+    """The request keys shared by ``/query`` and ``/batch``; the wire
+    settings are popped off ``settings``."""
+    payload: dict[str, Any] = {"db": db, "use_cache": True}
+    if strategy is not None:
+        payload["strategy"] = strategy
+    if request_id is not None:
+        payload["id"] = request_id
+    for key in WIRE_SETTINGS:
+        value = settings.pop(key, None)
+        if value is not None:
+            payload[key] = value
+    return payload

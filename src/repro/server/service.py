@@ -72,6 +72,7 @@ from ..engine import (
     resolve_cache_backend,
 )
 from ..engine.cache import CacheBackend, NamespacedCacheBackend
+from ..engine.workers import pool_kind
 from ..resilience import DeadlineExceeded, breaker_snapshots
 from ..obs.metrics import RequestRecord, ServerMetrics
 from ..obs.metrics import snapshot as obs_snapshot
@@ -80,7 +81,6 @@ from .wire import decode_database, encode_result, json_safe
 
 __all__ = ["ServerConfig", "EvalServer", "serve"]
 
-_POOLS = ("process", "thread", "serial")
 DEFAULT_TENANT = "public"
 
 _ENGINE_ERRORS = (
@@ -215,10 +215,7 @@ class EvalServer:
             config = ServerConfig(**overrides)
         elif overrides:
             raise TypeError("pass either a ServerConfig or keyword overrides")
-        if config.pool not in _POOLS:
-            raise EngineError(
-                f"unknown server pool {config.pool!r}; expected one of {_POOLS}"
-            )
+        kind = pool_kind(config.pool, names_only=True)
         if config.max_concurrency < 1:
             raise EngineError("max_concurrency must be a positive integer")
         if config.queue_limit < 0:
@@ -230,9 +227,9 @@ class EvalServer:
             config.cache, cache_size=config.cache_size
         )
         self._pool: Any = None
-        if config.pool == "process":
+        if kind == "process":
             self._pool = CancellableProcessExecutor(max_workers=config.max_workers)
-        elif config.pool == "thread":
+        elif kind == "thread":
             self._pool = concurrent.futures.ThreadPoolExecutor(
                 max_workers=config.max_workers,
                 thread_name_prefix="repro-server-worker",

@@ -32,24 +32,29 @@ Layers:
   view + fragments + per-fragment fingerprints);
 * :mod:`repro.sharding.planner` — the lineage rewrite pushing plans
   through fragments, with per-strategy operator allowlists;
-* :mod:`repro.sharding.executor` — serial / thread / process executors;
+* :class:`ShardExecutor` and friends — names of the engine's one worker
+  pool (:class:`repro.engine.workers.WorkerPool`), which runs shard
+  tasks serially, on threads or on processes;
 * :mod:`repro.sharding.evaluate` — orchestration, per-shard caching and
   strategy-specific merging.
 """
 
+from functools import partial
+
+from ..engine.workers import WorkerPool, resolve_pool
 from .database import SHARD_SUFFIX, ShardedDatabase, shard_relation_name
 from .evaluate import SHARD_MERGES, evaluate_sharded, register_shard_merge
-from .executor import (
-    ProcessShardExecutor,
-    SerialShardExecutor,
-    ShardExecutor,
-    ShardPartial,
-    ShardTask,
-    ThreadShardExecutor,
-    resolve_executor,
-)
 from .partition import HashPartitioner, Partitioner, RoundRobinPartitioner
 from .planner import NonDistributableError, ShardPlan, shard_plan
+
+#: The shard executors are the engine's one worker pool under their
+#: sharding names: ``ProcessShardExecutor(max_workers=2)`` is
+#: ``WorkerPool("process", 2)``.
+ShardExecutor = WorkerPool
+SerialShardExecutor = partial(WorkerPool, "serial")
+ThreadShardExecutor = partial(WorkerPool, "thread")
+ProcessShardExecutor = partial(WorkerPool, "process")
+resolve_executor = resolve_pool
 
 __all__ = [
     "SHARD_SUFFIX",
@@ -65,8 +70,6 @@ __all__ = [
     "SerialShardExecutor",
     "ThreadShardExecutor",
     "ProcessShardExecutor",
-    "ShardTask",
-    "ShardPartial",
     "resolve_executor",
     "SHARD_MERGES",
     "register_shard_merge",

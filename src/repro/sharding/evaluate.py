@@ -23,10 +23,13 @@ sync and the async engine drive.  The flow:
    rewritten-plan fingerprint and the *fragment* fingerprints of the
    sharded relations (plus the full fingerprints of broadcast
    relations), so mutating one shard invalidates only its partial;
-4. fan the cache misses out through the shard executor under the
-   resilience contract (:func:`repro.engine.drive.run_tasks`) and merge
-   the partials with the strategy-specific merge function, reproducing
-   exactly what the monolithic strategy would have returned.
+4. fan the cache misses out as :class:`~repro.engine.workers.Task`
+   objects (the rewritten plan is normalized once, here) through the
+   shard worker pool under the resilience contract
+   (:func:`repro.engine.drive.run_tasks`) and merge the per-shard
+   :class:`~repro.engine.registry.StrategyOutcome` objects with the
+   strategy-specific merge function, reproducing exactly what the
+   monolithic strategy would have returned.
 
 The call's ``optimize``/``stats``/``backend`` settings ride along in the
 task options (and hence in the partial cache keys), so each fragment's
@@ -52,14 +55,14 @@ from ..engine.cache import ResultCache, canonical_options, database_fingerprint
 from ..engine.capabilities import StrategyCapabilities
 from ..engine.drive import Dispatch, run_tasks
 from ..engine.errors import EngineError
-from ..engine.frontend import NormalizedQuery, query_fingerprint
+from ..engine.frontend import NormalizedQuery, normalize_query
 from ..engine.registry import EvaluationStrategy, StrategyOutcome, annotate
 from ..engine.result import AnnotatedTuple, Certainty, QueryResult
+from ..engine.workers import Task, TaskResult, WorkerPool
 from ..obs import metrics as obs_metrics
 from ..obs.trace import SpanContext, span
 from ..resilience import DeadlineExceeded
 from .database import ShardedDatabase, shard_relation_name
-from .executor import ShardExecutor, ShardPartial, ShardTask
 from .planner import NonDistributableError, ShardPlan, shard_plan
 
 if TYPE_CHECKING:
@@ -91,7 +94,7 @@ def _union_relations(relations: Sequence[Relation], *, bag: bool) -> Relation:
 
 
 def merge_naive(
-    partials: Sequence[ShardPartial],
+    partials: Sequence[StrategyOutcome],
     *,
     semantics: str,
     database: Database,
@@ -125,7 +128,7 @@ def merge_naive(
 
 
 def merge_guagliardo16(
-    partials: Sequence[ShardPartial],
+    partials: Sequence[StrategyOutcome],
     *,
     semantics: str,
     database: Database,
@@ -274,8 +277,8 @@ class _PlannedShardedCall:
 
     merge: MergeFn
     plan: ShardPlan
-    partials: list  # ShardPartial | None per shard; cached ones filled in
-    tasks: list[ShardTask]
+    partials: list  # StrategyOutcome | None per shard; cached ones filled in
+    tasks: list[Task]
     hits: int
     start: float
 
@@ -306,13 +309,13 @@ def _plan_sharded_call(
     # exotic option values stay usable (the use_cache=False escape
     # hatch canonical_option_value's error message recommends).
     options_key = canonical_options(options) if cache is not None else ()
-    rewritten_fp = query_fingerprint(plan.plan)
+    rewritten = normalize_query(plan.plan)
     full_fp = None
     if plan.uses_domain and cache is not None:
         full_fp = call.database_fp or database_fingerprint(database)
 
-    partials: list[ShardPartial | None] = [None] * count
-    tasks: list[ShardTask] = []
+    partials: list[StrategyOutcome | None] = [None] * count
+    tasks: list[Task] = []
     hits = 0
     # Captured once for the whole fan-out: every shard task links back
     # to the same ambient span (None when the call is untraced).
@@ -323,7 +326,7 @@ def _plan_sharded_call(
             if cache is not None:
                 key = (
                     "shard-partial",
-                    rewritten_fp,
+                    rewritten.fingerprint,
                     strategy.name,
                     semantics,
                     options_key,
@@ -335,16 +338,16 @@ def _plan_sharded_call(
                     hits += 1
                     continue
             tasks.append(
-                ShardTask(
-                    shard=shard,
-                    plan=plan.plan,
+                Task(
+                    normalized=rewritten,
                     database=_task_database(database, shard, plan),
                     strategy=strategy.name,
                     semantics=semantics,
                     options=tuple(options.items()),
-                    cache_key=key,
                     deadline=call.deadline,
                     trace=trace_ctx,
+                    shard=shard,
+                    cache_key=key,
                 )
             )
         if hits:
@@ -369,32 +372,22 @@ def _coalesced_result(
 
 def _absorb_partials(
     planned: _PlannedShardedCall,
-    computed: Sequence[ShardPartial | None],
+    computed: Sequence[TaskResult | None],
     cache: ResultCache | None,
 ) -> None:
     # A ``None`` hole is a shard that failed under
     # ``on_shard_error="degrade"``: it contributes nothing to the merge
     # and — crucially — is never cached, so a fault can only *miss* the
     # partial cache, never poison it.
-    for task, partial in zip(planned.tasks, computed):
-        if partial is None:
+    for task, result in zip(planned.tasks, computed):
+        if result is None:
             continue
-        if partial.metadata and "trace" in partial.metadata:
-            # The worker's span export is grafted into the live trace by
-            # the caller; the stored partial must not carry it (cached
-            # partials are shared by traced and untraced calls).
-            partial = replace(
-                partial,
-                metadata={
-                    k: v for k, v in partial.metadata.items() if k != "trace"
-                },
-            )
-        planned.partials[task.shard] = partial
+        planned.partials[task.shard] = result.outcome
         if cache is not None and task.cache_key is not None:
-            cache.put(task.cache_key, partial)
+            cache.put(task.cache_key, result.outcome)
 
 
-def _merged_backend_metadata(partials: Sequence[ShardPartial]) -> dict[str, Any]:
+def _merged_backend_metadata(partials: Sequence[StrategyOutcome]) -> dict[str, Any]:
     """Aggregate the per-shard backend decisions into one metadata note.
 
     Merge functions rebuild outcome metadata from scratch, so the
@@ -404,11 +397,7 @@ def _merged_backend_metadata(partials: Sequence[ShardPartial]) -> dict[str, Any]
     reused; shards that diverged (e.g. one fragment held a value the SQL
     compiler cannot encode) are reported as ``resolved: "mixed"``.
     """
-    notes = [
-        partial.metadata.get("backend")
-        for partial in partials
-        if partial is not None and partial.metadata
-    ]
+    notes = [p.metadata.get("backend") for p in partials if p.metadata]
     notes = [note for note in notes if note]
     if not notes:
         return {}
@@ -506,7 +495,7 @@ def _finish_sharded(
 def evaluate_sharded(
     call: "PreparedCall",
     *,
-    executor: ShardExecutor,
+    executor: WorkerPool,
     coalesced: Callable[[], Any],
 ):
     """Evaluate a prepared call on its sharded database (pipeline steps).
@@ -558,11 +547,6 @@ def evaluate_sharded(
                 ) from exc
             if retries:
                 fanout.incr("retries", retries)
-            for partial in computed:
-                if partial is not None and partial.metadata:
-                    exported = partial.metadata.get("trace")
-                    if exported:
-                        fanout.graft(exported)
         failures = {planned.tasks[i].shard: error for i, error in failed.items()}
         _absorb_partials(planned, computed, call.cache)
     return _finish_sharded(planned, call, executor.kind, failures, retries)

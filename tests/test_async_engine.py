@@ -30,6 +30,7 @@ from repro.engine import (
     register_strategy,
     unregister_strategy,
 )
+from repro.server import EvalServer, ServerConfig
 from repro.sharding import ShardedDatabase
 
 
@@ -63,9 +64,27 @@ def test_async_evaluate_matches_sync(tiny_db):
     assert not result.from_cache
 
 
-def test_async_engine_rejects_bad_configuration():
+def test_async_engine_rejects_bad_configuration(tiny_db):
+    # pool=, executor= and ServerConfig.pool share one kind table, so an
+    # unknown name fails at construction with one message.
+    bad_pools = {
+        "pool": lambda: AsyncEngine(pool="quantum"),
+        "Engine(executor=)": lambda: Engine(executor="quantum"),
+        "Session(executor=)": lambda: Session(tiny_db, executor="quantum"),
+        "AsyncSession(executor=)": lambda: AsyncSession(tiny_db, executor="quantum"),
+        "ServerConfig.pool": lambda: EvalServer(ServerConfig(pool="quantum")),
+    }
+    messages = set()
+    for name, build in bad_pools.items():
+        with pytest.raises(EngineError, match="worker pool") as excinfo:
+            build()
+        messages.add(str(excinfo.value))
+    assert messages == {
+        "unknown worker pool 'quantum'; expected one of ('serial', 'thread', "
+        "'process'), a concurrent.futures.Executor or a WorkerPool instance"
+    }
     with pytest.raises(EngineError, match="worker pool"):
-        AsyncEngine(pool="quantum")
+        Engine().evaluate("SELECT a FROM R", tiny_db, executor="quantum")
     with pytest.raises(EngineError, match="max_concurrency"):
         AsyncEngine(max_concurrency=0)
 
@@ -346,7 +365,7 @@ def test_async_engine_closes_owned_engine_and_pool(tiny_db):
 
     engine = asyncio.run(main())
     assert recording.closed
-    assert engine._pool is None
+    assert engine._pool._executor is None, "the owned worker pool must be shut down"
 
 
 def test_async_engine_never_closes_a_shared_sync_engine(tiny_db):

@@ -156,9 +156,9 @@ def test_cache_bypass_escape_hatch_works_on_the_sharded_path(tiny_db):
 
 
 def test_unknown_strategy_error_survives_pickling(tiny_db):
-    # run_engine_task/run_shard_task resolve strategies by name inside
-    # worker processes; the error must unpickle cleanly in the parent
-    # or the failure breaks the whole process pool.
+    # run_task resolves strategies by name inside worker processes; the
+    # error must unpickle cleanly in the parent or the failure breaks
+    # the whole process pool.
     import pickle
 
     from repro.engine import UnknownStrategyError

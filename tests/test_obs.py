@@ -21,12 +21,13 @@ Four contracts from ``repro.obs``:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 
 import pytest
 
-from repro import Database, Engine, Relation
+from repro import AsyncEngine, Database, Engine, Relation
 from repro.algebra import builder as rb
 from repro.engine import Session
 from repro.obs import (
@@ -186,6 +187,30 @@ def test_span_tree_stitches_across_process_pool_shards(db):
         # crossed a process boundary and still grafted under the parent.
         assert shard_span["attrs"]["pid"] != os.getpid()
         assert shard_span["wall_ms"] >= 0.0
+
+
+def test_span_tree_stitches_across_async_process_pool(db):
+    async def main():
+        async with AsyncEngine(pool="process", max_workers=1) as engine:
+            traced = await engine.evaluate(
+                QUERY, db, strategy="naive", use_cache=False, trace=True
+            )
+            untraced = await engine.evaluate(
+                QUERY, db, strategy="naive", use_cache=False
+            )
+        return traced, untraced
+
+    traced, untraced = asyncio.run(main())
+    trace = traced.metadata["trace"]
+    workers = [c for c in trace["children"] if c["name"] == "worker"]
+    # The miss ran in a pool worker, whose own root grafted once under
+    # the call's root.
+    assert len(workers) == 1
+    assert workers[0]["attrs"]["pid"] != os.getpid()
+    assert workers[0]["attrs"]["strategy"] == "naive"
+    assert "trace" not in untraced.metadata
+    assert traced.same_answers_as(untraced)
+    assert traced.relation.rows_bag() == untraced.relation.rows_bag()
 
 
 # ----------------------------------------------------------------------

@@ -227,6 +227,25 @@ def test_batch_streams_results_with_summary(client):
     assert "error" in by_index[2]
 
 
+def test_batch_sends_every_wire_setting(client):
+    items = list(
+        client.batch(
+            ["SELECT a FROM R"],
+            db="toy",
+            strategy="naive",
+            use_cache=False,
+            backend="interpreter",
+            trace=True,
+        )
+    )
+    metadata = items[0]["result"]["metadata"]
+    assert metadata["backend"]["requested"] == "interpreter"
+    assert metadata["backend"]["resolved"] == "interpreter"
+    assert metadata["trace"]["name"] == "evaluate"
+    with pytest.raises(TypeError, match="variant"):
+        list(client.batch(["SELECT a FROM R"], db="toy", variant="aware"))
+
+
 def test_batch_streams_in_completion_order(toy_db, sleep_strategy):
     with EvalServer(
         ServerConfig(

@@ -307,26 +307,32 @@ def test_sharded_equals_monolithic_randomized():
 
 
 def test_sharded_equals_monolithic_process_executor():
-    """A few cases through the process pool (expensive; kept small)."""
-    engine = Engine()
-    for case in range(3):
-        rng = random.Random(SEED * 7_919 + case)
-        db = _build_database(rng)
-        sharded = ShardedDatabase.from_database(db, 3, HashPartitioner())
-        gen = _QueryGen(rng, db.schema())
-        query = rb.select(
-            rb.product(
-                rb.relation("R"),
-                rb.rename(rb.relation("S"), {"c": "c2", "d": "d2"}),
-            ),
-            Eq(Attr("a"), Attr("c2")),
-        )
-        mono = engine.evaluate(query, db, strategy="naive", use_cache=False)
-        shard = engine.evaluate(
-            query, sharded, strategy="naive", use_cache=False, executor="process"
-        )
-        assert shard.metadata["sharding"]["mode"] == "distributed"
-        _assert_identical(mono, shard, f"process case {case}")
+    """A few cases through the process pool (expensive; kept small).
+
+    One strategy per shard merge, so both merges consume outcomes that
+    crossed a real process boundary.
+    """
+    with Engine() as engine:
+        for case in range(3):
+            rng = random.Random(SEED * 7_919 + case)
+            db = _build_database(rng)
+            sharded = ShardedDatabase.from_database(db, 3, HashPartitioner())
+            query = rb.select(
+                rb.product(
+                    rb.relation("R"),
+                    rb.rename(rb.relation("S"), {"c": "c2", "d": "d2"}),
+                ),
+                Eq(Attr("a"), Attr("c2")),
+            )
+            for strategy in ("naive", "approx-guagliardo16"):
+                label = f"process case {case} ({strategy})"
+                mono = engine.evaluate(query, db, strategy=strategy, use_cache=False)
+                shard = engine.evaluate(
+                    query, sharded, strategy=strategy, use_cache=False, executor="process"
+                )
+                assert shard.metadata["sharding"]["mode"] == "distributed", label
+                assert shard.metadata["sharding"]["executor"] == "process", label
+                _assert_identical(mono, shard, label)
 
 
 def test_natural_join_and_semijoin_distribute_on_the_left():
