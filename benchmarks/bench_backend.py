@@ -19,7 +19,7 @@ walks it tuple by tuple.  Three questions:
    executes both statements against one encoded database.
 3. **Zero result changes** — every SQLite result in the sweep is
    compared tuple-for-tuple against its interpreter twin (the
-   randomized harness in ``tests/test_backend_equivalence.py`` does
+   randomized harness in ``tests/test_differential.py`` does
    this exhaustively; the benchmark re-checks it at benchmark scale).
    Plans the compiler cannot express (here: Division) must fall back
    to the interpreter under ``backend="auto"`` and say so in

@@ -15,7 +15,7 @@ PR 4):
    :class:`~repro.algebra.ConstrainedDomainRelation`.
 3. **Zero result changes** — every optimized result in the sweep is
    compared tuple-for-tuple against its unoptimized twin (the
-   randomized harness in ``tests/test_optimizer_equivalence.py`` does
+   randomized harness in ``tests/test_differential.py`` does
    this exhaustively; the benchmark re-checks it at benchmark scale).
 
 Run under pytest (``python -m pytest benchmarks/bench_optimizer.py``) or

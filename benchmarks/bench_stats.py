@@ -27,7 +27,7 @@ Three questions about the cost model (`repro.algebra.stats`, this PR):
 
 Every stats-driven result is compared tuple-for-tuple against its
 stats-free twin (the randomized harness in
-``tests/test_stats_equivalence.py`` does this exhaustively; the
+``tests/test_differential.py`` does this exhaustively; the
 benchmark re-checks at benchmark scale).
 
 Run under pytest (``python -m pytest benchmarks/bench_stats.py``) or

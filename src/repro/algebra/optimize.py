@@ -43,8 +43,8 @@ both.  All rules preserve bag multiplicities, hence set and bag
 semantics alike.
 
 Equivalence is enforced by the randomized harness in
-``tests/test_optimizer_equivalence.py`` (all six engine strategies,
-set and bag semantics, both condition modes, monolithic and sharded).
+``tests/test_differential.py`` (all six engine strategies, set and bag
+semantics, both condition modes, crossed with every other engine knob).
 
 The optimizer is pure and memoised: optimizing the same plan against
 the same schema twice is a dictionary hit, which matters for the

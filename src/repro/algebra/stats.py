@@ -30,7 +30,7 @@ form that still steers plans well:
 *answers*.  Every consumer uses estimates to choose among plans that
 are equivalent by construction (join order, hash build side, strategy
 tie-breaks); a wildly wrong estimate can produce a slow plan, never a
-wrong one.  The randomized harness in ``tests/test_stats_equivalence.py``
+wrong one.  The randomized harness in ``tests/test_differential.py``
 pins this tuple-for-tuple across every strategy.
 """
 

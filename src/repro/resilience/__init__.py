@@ -24,8 +24,8 @@ through to close that gap:
 * :mod:`repro.resilience.faults` — named :func:`fault_point` hooks in
   the shard executors, pool dispatch, cache backends and the SQLite
   backend.  No-ops unless a seeded :class:`FaultPlan` is armed
-  (programmatically or via ``REPRO_FAULT_PLAN``), powering the chaos
-  harness in ``tests/test_chaos_equivalence.py``.
+  (programmatically or via ``REPRO_FAULT_PLAN``), powering the fault
+  axis of ``tests/test_differential.py``.
 
 Everything here is stdlib-only and imports nothing from the rest of
 ``repro`` — the execution layers import *us*, never the other way

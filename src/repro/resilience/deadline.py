@@ -56,7 +56,7 @@ class Deadline:
     def after(cls, seconds: float) -> "Deadline":
         """A deadline ``seconds`` from now."""
         seconds = float(seconds)
-        if seconds < 0:
+        if not seconds >= 0:  # also refuses NaN, which never expires
             raise ValueError("timeout must be non-negative")
         return cls(at=time.monotonic() + seconds, budget=seconds)
 

@@ -137,9 +137,16 @@ class ServerConfig:
 
 def _timeout_seconds(timeout_ms: Any) -> float:
     timeout_ms = float(timeout_ms)
-    if timeout_ms <= 0:
+    if not timeout_ms > 0:  # also refuses NaN, which json.loads accepts
         raise ValueError("timeout_ms must be a positive number")
     return timeout_ms / 1000.0
+
+
+def _json_bool(value: Any) -> bool:
+    # bool("false") is True: only a JSON boolean may switch a setting.
+    if not isinstance(value, bool):
+        raise ValueError(f"expected a JSON boolean, got {value!r}")
+    return value
 
 
 #: Request keys that set a per-call engine setting
@@ -151,12 +158,12 @@ def _timeout_seconds(timeout_ms: Any) -> float:
 #: as-is).
 WIRE_SETTINGS: dict[str, tuple[str, Any]] = {
     "semantics": ("semantics", lambda value: value or None),
-    "use_cache": ("use_cache", bool),
-    "optimize": ("optimize", bool),
+    "use_cache": ("use_cache", _json_bool),
+    "optimize": ("optimize", _json_bool),
     "backend": ("backend", str),
     "timeout_ms": ("timeout", _timeout_seconds),
     "on_shard_error": ("on_shard_error", str),
-    "trace": ("trace", bool),
+    "trace": ("trace", _json_bool),
 }
 
 

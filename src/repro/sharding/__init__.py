@@ -8,8 +8,8 @@ the fragments in parallel, and union the partial results.  Non-
 distributive operators (difference, division) and strategies whose
 correctness argument needs the whole database coalesce transparently to
 monolithic evaluation, so sharded evaluation is *always* result-
-identical to monolithic evaluation — a randomized cross-strategy
-harness (``tests/test_sharding_equivalence.py``) enforces this.
+identical to monolithic evaluation — the randomized differential
+harness (``tests/test_differential.py``) enforces this.
 
 Usage::
 

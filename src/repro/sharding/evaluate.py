@@ -36,7 +36,7 @@ task options (and hence in the partial cache keys), so each fragment's
 plan is optimized inside the strategy call over the statistics of the
 shard it actually sees.  The merged :class:`~repro.engine.result.QueryResult`
 is result-identical to monolithic evaluation — the randomized harness in
-``tests/test_sharding_equivalence.py`` enforces this for every
+``tests/test_differential.py`` enforces this for every
 registered strategy — and differs only in its ``metadata["sharding"]``
 entry.
 """

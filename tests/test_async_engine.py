@@ -1,6 +1,7 @@
 """Unit tests of :mod:`repro.engine.aio`: AsyncEngine and AsyncSession.
 
 The async-vs-sync *result* equivalence lives in
+``tests/test_differential.py`` (the ``driver`` axis) and
 ``tests/test_async_equivalence.py``; this module checks the async
 machinery itself — genuine concurrency of ``compare``/``evaluate_batch``
 fan-out, the ``max_concurrency`` semaphore, single-flight coalescing of

@@ -1,231 +1,23 @@
-"""Randomized async-vs-sync equivalence harness.
+"""Async-vs-sync pins on the Figure 1 cases.
 
-The property that makes :class:`~repro.engine.aio.AsyncEngine` safe to
-use interchangeably with :class:`~repro.engine.Engine`: for any (query,
-database) pair and every registered strategy, the async engine must
-return **identical results** — tuple for tuple, including the
-certain/possible side relations, per-tuple annotations and bag
-multiplicities — whether the run is monolithic or sharded, and whichever
-worker pool carries it.  Only ``elapsed`` (worker-measured) and the
-``metadata["sharding"]["executor"]`` note may differ.
-
-Three layers:
-
-* a fixed-seed random sweep (databases with ≤ 2 marked nulls, random
-  σ/π/ρ/×/∪/−/∩ plans) over all six strategies in set semantics plus
-  naïve under bags, on the thread pool;
-* the same sweep through the *sharded* path (async executor hop vs sync
-  monolithic evaluation);
-* the Figure 1 cases through a real **process pool**, which additionally
-  exercises pickling of every task shape (SQL AST, algebra plan) across
-  the worker boundary.
-
-Seed and case count are overridable via ``REPRO_ASYNC_SEED`` /
-``REPRO_ASYNC_CASES`` so CI can add a second randomized run.
+The randomized async-vs-sync identity (``AsyncEngine(pool="thread")``
+against the sync engine, crossed with every other engine knob) lives in
+``tests/test_differential.py``.  Here the Figure 1 cases go through a
+real **process pool**, which also exercises pickling of every task
+shape (SQL AST, algebra plan) across the worker boundary, and through
+``evaluate_batch``.  ``test_async_engine_matches_sync_on_random_cases``
+runs the sweep's driver axis alone.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
-import os
-import random
-from collections import Counter
 
-from repro import AsyncEngine, Database, Engine, Null, Relation
-from repro.algebra import builder as rb
-from repro.algebra.conditions import Attr, Eq, Literal, Neq
-from repro.engine import EngineError, StrategyNotApplicableError, available_strategies
-from repro.sharding import ShardedDatabase
-from repro.workloads import (
-    GeneratorConfig,
-    RelationSpec,
-    figure1_cases,
-    figure1_database_with_null,
-    generate_database,
-)
-
-SEED = int(os.environ.get("REPRO_ASYNC_SEED", "20260728"))
-CASES = int(os.environ.get("REPRO_ASYNC_CASES", "20"))
-
-
-# ----------------------------------------------------------------------
-# Random databases and queries (compact twin of the sharding harness)
-# ----------------------------------------------------------------------
-def _build_database(rng: random.Random) -> Database:
-    config = GeneratorConfig(
-        relations=(
-            RelationSpec("R", ("a", "b"), rng.randint(2, 4)),
-            RelationSpec("S", ("c", "d"), rng.randint(2, 4)),
-            RelationSpec("T", ("e",), rng.randint(1, 3)),
-        ),
-        domain_size=4,
-        null_rate=0.0,
-        seed=rng.randrange(1_000_000),
-    )
-    db = generate_database(config)
-    nulls = rng.randint(0, 2)
-    if not nulls:
-        return db
-    rows_by_relation = {
-        name: list(relation.iter_rows_bag()) for name, relation in db.relations()
-    }
-    positions = [
-        (name, i, j)
-        for name, rows in rows_by_relation.items()
-        for i, row in enumerate(rows)
-        for j in range(len(row))
-    ]
-    for index, (name, i, j) in enumerate(
-        rng.sample(positions, min(nulls, len(positions)))
-    ):
-        row = list(rows_by_relation[name][i])
-        row[j] = Null(f"n{rng.randrange(1_000_000)}_{index}")
-        rows_by_relation[name][i] = tuple(row)
-    return Database(
-        {
-            name: Relation(db[name].attributes, rows)
-            for name, rows in rows_by_relation.items()
-        }
-    )
-
-
-class _QueryGen:
-    def __init__(self, rng: random.Random, schema):
-        self.rng = rng
-        self.schema = schema
-        self._fresh = itertools.count()
-
-    def condition(self, attrs):
-        rng = self.rng
-        left = Attr(rng.choice(attrs))
-        if len(attrs) > 1 and rng.random() < 0.4:
-            right = Attr(rng.choice(attrs))
-        else:
-            right = Literal(f"v{rng.randrange(4)}")
-        return (Eq if rng.random() < 0.7 else Neq)(left, right)
-
-    def leaf(self, arity: int):
-        rng = self.rng
-        name = rng.choice(["R", "S"] if arity == 2 else ["R", "S", "T"])
-        plan = rb.relation(name)
-        attrs = list(plan.output_attributes(self.schema))
-        if len(attrs) > arity:
-            keep = rng.sample(attrs, arity)
-            plan = rb.project(plan, keep)
-        return plan
-
-    def query(self, depth: int):
-        rng = self.rng
-        if depth <= 0 or rng.random() < 0.3:
-            return rb.relation(rng.choice(["R", "S", "T"]))
-        child = self.query(depth - 1)
-        attrs = list(child.output_attributes(self.schema))
-        op = rng.choices(
-            ["select", "project", "rename", "product", "union", "difference",
-             "intersection"],
-            weights=[24, 16, 8, 14, 14, 12, 12],
-        )[0]
-        if op == "select":
-            return rb.select(child, self.condition(attrs))
-        if op == "project":
-            keep = rng.sample(attrs, rng.randint(1, len(attrs)))
-            return rb.project(child, keep)
-        if op == "rename":
-            renamed = rng.sample(attrs, rng.randint(1, len(attrs)))
-            return rb.rename(
-                child, {a: f"x{next(self._fresh)}" for a in renamed}
-            )
-        if op == "product":
-            right = self.leaf(self.rng.choice([1, 2]))
-            right_attrs = right.output_attributes(self.schema)
-            return rb.product(
-                child,
-                rb.rename(right, {a: f"x{next(self._fresh)}" for a in right_attrs}),
-            )
-        build = {"union": rb.union, "difference": rb.difference,
-                 "intersection": rb.intersection}[op]
-        return build(child, self.leaf(len(attrs)))
-
-
-# ----------------------------------------------------------------------
-# Tuple-for-tuple identity
-# ----------------------------------------------------------------------
-def _assert_identical(sync_result, async_result, label: str) -> None:
-    assert sync_result.relation.attributes == async_result.relation.attributes, label
-    assert sync_result.relation.rows_bag() == async_result.relation.rows_bag(), (
-        f"{label}: primary answers differ"
-        f"\nsync:  {sync_result.relation.sorted_rows()}"
-        f"\nasync: {async_result.relation.sorted_rows()}"
-    )
-    for side in ("certain", "possible", "certainly_false"):
-        a, b = getattr(sync_result, side), getattr(async_result, side)
-        assert (a is None) == (b is None), f"{label}: {side} presence differs"
-        if a is not None:
-            assert a.rows_set() == b.rows_set(), f"{label}: {side} rows differ"
-    sync_annotated = Counter(
-        (t.row, t.status, t.multiplicity) for t in sync_result.tuples
-    )
-    async_annotated = Counter(
-        (t.row, t.status, t.multiplicity) for t in async_result.tuples
-    )
-    assert sync_annotated == async_annotated, f"{label}: annotations differ"
-
-
-def _calls(rng: random.Random):
-    """Every (strategy, semantics) pair checked per case."""
-    for strategy in available_strategies():
-        yield strategy, "set"
-    yield "naive", "bag"
-
-
-async def _check_case(engine, aeng, query, db, sharded, executor, label_base):
-    for strategy, semantics in _calls(None):
-        label = f"{label_base}, strategy {strategy} ({semantics})"
-        try:
-            expected = engine.evaluate(
-                query, db, strategy=strategy, semantics=semantics, use_cache=False
-            )
-        except (StrategyNotApplicableError, EngineError, ValueError, TypeError) as exc:
-            try:
-                await aeng.evaluate(
-                    query, db, strategy=strategy, semantics=semantics,
-                    use_cache=False,
-                )
-            except type(exc):
-                continue
-            raise AssertionError(
-                f"{label}: sync raised {type(exc).__name__} but async did not"
-            )
-        monolithic = await aeng.evaluate(
-            query, db, strategy=strategy, semantics=semantics, use_cache=False
-        )
-        _assert_identical(expected, monolithic, label)
-        distributed = await aeng.evaluate(
-            query, sharded, strategy=strategy, semantics=semantics,
-            use_cache=False, executor=executor,
-        )
-        _assert_identical(expected, distributed, f"{label} [sharded]")
-
-
-def test_async_engine_matches_sync_on_random_cases():
-    rng = random.Random(SEED)
-
-    async def main():
-        with Engine() as engine:
-            async with AsyncEngine(pool="thread", max_workers=4) as aeng:
-                for case in range(CASES):
-                    db = _build_database(rng)
-                    query = _QueryGen(rng, db.schema()).query(rng.randint(1, 3))
-                    shards = rng.choice([1, 2, 3])
-                    sharded = ShardedDatabase.from_database(db, shards)
-                    executor = rng.choice(["serial", "thread"])
-                    await _check_case(
-                        engine, aeng, query, db, sharded, executor,
-                        f"case {case} (seed {SEED}, shards {shards})",
-                    )
-
-    asyncio.run(main())
+from differential import _assert_identical
+from repro import AsyncEngine, Engine
+from repro.engine import available_strategies
+from repro.workloads import figure1_cases, figure1_database_with_null
+from test_differential import slice_rows, sweep
 
 
 def test_async_compare_identical_to_sync_on_figure1_with_process_pool():
@@ -291,3 +83,9 @@ def test_async_batch_matches_sync_batch_on_figure1():
                 _assert_identical(want, got, f"batch query {i}")
 
     asyncio.run(main())
+
+
+def test_async_engine_matches_sync_on_random_cases():
+    """The driver axis alone: ``AsyncEngine(pool="thread")`` against
+    the sync engine, on monolithic and sharded databases."""
+    sweep(slice_rows(driver=("async",), shards=(0, 1, 2, 3), executor=("serial", "thread")))

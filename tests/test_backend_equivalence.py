@@ -1,337 +1,36 @@
-"""Randomized SQLite-vs-interpreter backend equivalence harness.
+"""SQLite-backend pins and the ``sql-3vl`` SQL sweep.
 
-The metamorphic property that makes ``backend="auto"`` (SQLite pushdown,
-:mod:`repro.exec`) safe to keep on by default: for any (query, database),
-evaluating with ``backend="auto"`` must be **result-identical** to
-``backend="interpreter"`` —
+The randomized SQLite-vs-interpreter identity (``backend="auto"``
+against ``backend="interpreter"``, every strategy, with its coverage
+floors, crossed with every other engine knob) lives in
+``tests/test_differential.py``; ``test_sqlite_matches_interpreter_randomized``
+runs its backend axis alone.  This file keeps the explicit
+``backend="sqlite"`` error contract, the recorded auto fallback, and a
+sweep of its own over random SQL text: the three-valued plan of
+``sql-3vl`` must answer exactly as the SQL evaluator does (attributes
+and bag of rows), under set and bag semantics, on both backends, or
+fall back to the evaluator; floors keep both paths live.
 
-* through the engine, for every registered strategy (all six), tuple for
-  tuple including the certain/possible/certainly-false side relations
-  and the per-tuple certainty annotations (interpreter-only strategies
-  are covered too: an explicit request must still answer identically and
-  record the decision);
-* under set and bag semantics (naïve is the bag-capable algebra path);
-* on monolithic and sharded databases (the backend resolves inside each
-  per-fragment strategy call and the merged result aggregates the
-  per-shard decisions).
-
-A coverage floor asserts the SQLite path actually compiled a healthy
-share of the generated plans — otherwise the harness silently degrades
-into interpreter-vs-interpreter.
-
-Databases are tiny (≤ 2 nulls) so ``exact-certain`` stays computable;
-the query generator is shared in shape with
-``tests/test_optimizer_equivalence.py`` and covers σ (with ∧/self-
-comparisons), π, ρ, ×, ∪, −, ∩, ÷ and ⋉ — ÷ is deliberately kept so the
-``auto`` fallback path (Division is not SQL-expressible here) is
-exercised inside the identity loop, not just in a dedicated test.
-
-The same seeds drive a second generator, of SQL text, for ``sql-3vl``:
-its three-valued plan must answer exactly as the SQL evaluator does
-(attributes and bag of rows), under set and bag semantics, on both
-backends, or fall back to the evaluator; floors keep both paths live.
-
-Seed fixed, overridable via ``REPRO_BACKEND_SEED``; case count via
-``REPRO_BACKEND_CASES`` (CI runs a second seed).
+The SQL sweep runs a quarter of ``REPRO_DIFF_CASES`` cases (each runs
+four queries under two semantics and three configurations) from
+``REPRO_DIFF_SEED``.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from collections import Counter
 
 import pytest
 
-from repro import Database, Engine, Null, Relation
+from differential import CASES, SEED, _build_database, _inject_k_nulls, case_rng
+from repro import Engine
 from repro.algebra import builder as rb
-from repro.algebra.conditions import And, Attr, Eq, Literal, Neq
-from repro.engine import EngineError, StrategyNotApplicableError, available_strategies
-from repro.sharding import HashPartitioner, ShardedDatabase
-from repro.workloads import GeneratorConfig, RelationSpec, generate_database
+from repro.engine import EngineError, StrategyNotApplicableError
+from test_differential import slice_rows, sweep
 
-SEED = int(os.environ.get("REPRO_BACKEND_SEED", "20260808"))
-CASES = int(os.environ.get("REPRO_BACKEND_CASES", "80"))
-
-
-# ----------------------------------------------------------------------
-# Random databases: tiny, with a bounded number of nulls
-# ----------------------------------------------------------------------
-def _build_database(rng: random.Random) -> Database:
-    config = GeneratorConfig(
-        relations=(
-            RelationSpec("R", ("a", "b"), rng.randint(2, 4)),
-            RelationSpec("S", ("c", "d"), rng.randint(2, 4)),
-            RelationSpec("T", ("e",), rng.randint(1, 3)),
-        ),
-        domain_size=4,
-        null_rate=0.0,
-        seed=rng.randrange(1_000_000),
-    )
-    db = generate_database(config)
-    return _inject_k_nulls(db, rng.randint(0, 2), rng.random() < 0.5, rng)
-
-
-def _inject_k_nulls(db: Database, k: int, repeated: bool, rng: random.Random) -> Database:
-    if k == 0:
-        return db
-    rows_by_relation = {
-        name: list(relation.iter_rows_bag()) for name, relation in db.relations()
-    }
-    positions = [
-        (name, i, j)
-        for name, rows in rows_by_relation.items()
-        for i, row in enumerate(rows)
-        for j in range(len(row))
-    ]
-    chosen = rng.sample(positions, min(k, len(positions)))
-    shared = Null(f"b{rng.randrange(1_000_000)}")
-    for index, (name, i, j) in enumerate(chosen):
-        null = shared if repeated else Null(f"b{rng.randrange(1_000_000)}_{index}")
-        row = list(rows_by_relation[name][i])
-        row[j] = null
-        rows_by_relation[name][i] = tuple(row)
-    return Database(
-        {
-            name: Relation(db[name].attributes, rows)
-            for name, rows in rows_by_relation.items()
-        }
-    )
-
-
-# ----------------------------------------------------------------------
-# Random queries with valid attribute typing
-# ----------------------------------------------------------------------
-class _QueryGen:
-    def __init__(self, rng: random.Random, schema):
-        self.rng = rng
-        self.schema = schema
-        self._fresh = itertools.count()
-
-    def fresh_attr(self) -> str:
-        return f"x{next(self._fresh)}"
-
-    def condition(self, attrs):
-        rng = self.rng
-        left = Attr(rng.choice(attrs))
-        roll = rng.random()
-        if roll < 0.1:
-            right = left
-        elif len(attrs) > 1 and roll < 0.45:
-            right = Attr(rng.choice(attrs))
-        else:
-            right = Literal(f"v{rng.randrange(4)}")
-        condition = (Eq if rng.random() < 0.7 else Neq)(left, right)
-        if rng.random() < 0.3:
-            other = Attr(rng.choice(attrs))
-            condition = And(condition, Eq(other, Literal(f"v{rng.randrange(4)}")))
-        return condition
-
-    def with_arity(self, arity: int):
-        rng = self.rng
-        name = rng.choice(["R", "S"] if arity == 2 else ["R", "S", "T"])
-        plan = rb.relation(name)
-        attrs = list(plan.output_attributes(self.schema))
-        while len(attrs) < arity:
-            plan = rb.product(plan, rb.rename(rb.relation("T"), {"e": self.fresh_attr()}))
-            attrs = list(plan.output_attributes(self.schema))
-        if len(attrs) > arity:
-            keep = rng.sample(attrs, arity)
-            rng.shuffle(keep)
-            plan = rb.project(plan, keep)
-            attrs = keep
-        if rng.random() < 0.4:
-            plan = rb.select(plan, self.condition(attrs))
-        return plan
-
-    def query(self, depth: int):
-        rng = self.rng
-        if depth <= 0 or rng.random() < 0.25:
-            return rb.relation(rng.choice(["R", "S", "T"]))
-        child = self.query(depth - 1)
-        attrs = list(child.output_attributes(self.schema))
-        op = rng.choices(
-            ["select", "project", "rename", "product", "union", "difference",
-             "intersection", "division", "semijoin"],
-            weights=[22, 12, 8, 22, 12, 10, 6, 4, 4],
-        )[0]
-        if op == "select":
-            return rb.select(child, self.condition(attrs))
-        if op == "project":
-            keep = rng.sample(attrs, rng.randint(1, len(attrs)))
-            return rb.project(child, keep)
-        if op == "rename":
-            renamed = rng.sample(attrs, rng.randint(1, len(attrs)))
-            return rb.rename(child, {a: self.fresh_attr() for a in renamed})
-        if op == "product":
-            right = self.with_arity(rng.choice([1, 2]))
-            right_attrs = right.output_attributes(self.schema)
-            disjoint = rb.rename(right, {a: self.fresh_attr() for a in right_attrs})
-            plan = rb.product(child, disjoint)
-            if rng.random() < 0.75:
-                left_attr = rng.choice(attrs)
-                right_attr = rng.choice(
-                    list(disjoint.output_attributes(self.schema))
-                )
-                plan = rb.select(plan, Eq(Attr(left_attr), Attr(right_attr)))
-            return plan
-        if op in ("union", "difference", "intersection"):
-            right = self.with_arity(len(attrs))
-            build = {"union": rb.union, "difference": rb.difference,
-                     "intersection": rb.intersection}[op]
-            return build(child, right)
-        if op == "division" and len(attrs) >= 2:
-            return self.division(child, attrs)
-        if op == "semijoin":
-            right = self.with_arity(1)
-            right_attr = right.output_attributes(self.schema)[0]
-            return rb.semijoin(
-                child, rb.rename(right, {right_attr: rng.choice(attrs)})
-            )
-        return child
-
-    def division(self, child=None, attrs=None):
-        """``child ÷ divisor``: a plan SQLite cannot express (forces the fallback)."""
-        if child is None:
-            child = self.with_arity(2)
-            attrs = list(child.output_attributes(self.schema))
-        divisor = self.with_arity(1)
-        divisor_attr = divisor.output_attributes(self.schema)[0]
-        return rb.division(child, rb.rename(divisor, {divisor_attr: attrs[-1]}))
-
-
-# ----------------------------------------------------------------------
-# Result comparison: tuple-for-tuple identity
-# ----------------------------------------------------------------------
-def _assert_identical(reference, pushed, label: str) -> None:
-    assert reference.relation.attributes == pushed.relation.attributes, label
-    assert reference.relation.rows_bag() == pushed.relation.rows_bag(), (
-        f"{label}: primary answers differ\ninterpreter: "
-        f"{reference.relation.sorted_rows()}\nauto:        "
-        f"{pushed.relation.sorted_rows()}"
-    )
-    for side in ("certain", "possible", "certainly_false"):
-        a, b = getattr(reference, side), getattr(pushed, side)
-        assert (a is None) == (b is None), f"{label}: {side} presence differs"
-        if a is not None:
-            assert a.rows_set() == b.rows_set(), f"{label}: {side} rows differ"
-    ref_annotated = Counter(
-        (t.row, t.status, t.multiplicity) for t in reference.tuples
-    )
-    push_annotated = Counter(
-        (t.row, t.status, t.multiplicity) for t in pushed.tuples
-    )
-    assert ref_annotated == push_annotated, f"{label}: annotations differ"
-
-
-def _resolved_backend(result) -> str | None:
-    note = result.metadata.get("backend")
-    return note.get("resolved") if isinstance(note, dict) else None
-
-
-def _evaluate_both(engine, query, db, label, **kwargs):
-    """(interpreter, auto) results, or None when both raise alike."""
-    try:
-        reference = engine.evaluate(
-            query, db, backend="interpreter", use_cache=False, **kwargs
-        )
-    except (StrategyNotApplicableError, EngineError, ValueError, TypeError) as exc:
-        try:
-            engine.evaluate(query, db, backend="auto", use_cache=False, **kwargs)
-        except type(exc):
-            return None
-        raise AssertionError(
-            f"{label}: the interpreter raised {type(exc).__name__} but the "
-            "auto-backend evaluation did not"
-        )
-    pushed = engine.evaluate(query, db, backend="auto", use_cache=False, **kwargs)
-    _assert_identical(reference, pushed, label)
-    assert _resolved_backend(reference) == "interpreter", label
-    return reference, pushed
-
-
-def _run_case(engine: Engine, rng: random.Random, case: int) -> Counter:
-    db = _build_database(rng)
-    gen = _QueryGen(rng, db.schema())
-    # Case 0 is a ÷ plan under every seed, so the fallback path the
-    # ("naive", "interpreter") floor counts always runs.
-    query = gen.division() if case == 0 else gen.query(rng.randint(1, 3))
-    label_base = f"case {case} (seed {SEED})"
-    resolved: Counter = Counter()
-
-    for strategy in available_strategies():
-        pair = _evaluate_both(
-            engine, query, db, f"{label_base}, strategy {strategy}",
-            strategy=strategy,
-        )
-        if pair is not None:
-            resolved[(strategy, _resolved_backend(pair[1]))] += 1
-
-    # Bag semantics through the engine (naïve is the bag-capable algebra path).
-    pair = _evaluate_both(
-        engine, query, db, f"{label_base}, naive (bag)", strategy="naive",
-        semantics="bag",
-    )
-    if pair is not None:
-        resolved[("naive-bag", _resolved_backend(pair[1]))] += 1
-
-    # Sharded evaluation: the backend resolves inside each per-fragment
-    # strategy call; the merged metadata aggregates the decisions.
-    sharded = ShardedDatabase.from_database(
-        db, rng.choice([2, 3]), HashPartitioner()
-    )
-    for strategy in ("naive", "approx-guagliardo16"):
-        pair = _evaluate_both(
-            engine, query, sharded, f"{label_base}, sharded {strategy}",
-            strategy=strategy,
-        )
-        if pair is not None:
-            resolved[("sharded", _resolved_backend(pair[1]))] += 1
-
-    # Tracing observes, never steers (repro.obs): a traced evaluation
-    # must be result-identical to the untraced one — same tuples, same
-    # annotations, same metadata — except for the exported span tree
-    # riding result.metadata["trace"].  Half the cases run the check on
-    # the sharded database so SpanContext propagation into shard tasks
-    # is inside the randomized loop, not just in a dedicated test.
-    target = sharded if rng.random() < 0.5 else db
-    strategy = rng.choice(("naive", "approx-guagliardo16"))
-    try:
-        untraced = engine.evaluate(query, target, strategy=strategy, use_cache=False)
-    except (StrategyNotApplicableError, EngineError, ValueError, TypeError):
-        untraced = None
-    if untraced is not None:
-        traced = engine.evaluate(
-            query, target, strategy=strategy, use_cache=False, trace=True
-        )
-        label = f"{label_base}, traced {strategy}"
-        _assert_identical(untraced, traced, label)
-        assert "trace" not in untraced.metadata, label
-        assert traced.metadata.get("trace"), label
-        stripped = {k: v for k, v in traced.metadata.items() if k != "trace"}
-        assert stripped == untraced.metadata, (
-            f"{label}: tracing changed the metadata"
-        )
-    return resolved
-
-
-def test_sqlite_matches_interpreter_randomized():
-    engine = Engine()
-    resolved: Counter = Counter()
-    for case in range(CASES):
-        rng = random.Random(SEED * 1_000_003 + case)
-        resolved += _run_case(engine, rng, case)
-    # Coverage floors: the pushdown path must actually run, for the
-    # monolithic strategies, under bag semantics, and on shards —
-    # otherwise the harness is comparing the interpreter with itself.
-    assert resolved[("naive", "sqlite")] >= CASES // 2, resolved
-    assert resolved[("naive-bag", "sqlite")] >= CASES // 2, resolved
-    assert resolved[("approx-guagliardo16", "sqlite")] >= CASES // 10, resolved
-    assert resolved[("sharded", "sqlite")] >= CASES // 4, resolved
-    # ...and the fallback path must run too (÷ plans are generated on
-    # purpose), so requested-vs-resolved divergence is exercised.
-    assert resolved[("naive", "interpreter")] >= 1, resolved
+SQL_CASES = max(1, CASES // 4)
 
 
 def test_explicit_sqlite_on_interpreter_only_strategy_raises():
@@ -506,8 +205,8 @@ def test_sql_3vl_plan_matches_sql_evaluator_randomized():
         dict(backend="auto"),
     )
     evaluators: Counter = Counter()
-    for case in range(CASES):
-        rng = random.Random(SEED * 1_000_003 + case)
+    for case in range(SQL_CASES):
+        rng = case_rng(case)
         # A few more nulls than the algebra cases use: NULL handling is
         # where SQL and a naive plan part ways.
         db = _inject_k_nulls(
@@ -539,10 +238,18 @@ def test_sql_3vl_plan_matches_sql_evaluator_randomized():
                         f"evaluator: {sorted(expected.rows_bag().items(), key=str)}"
                     )
                     evaluators[
-                        (got.metadata["evaluator"], _resolved_backend(got))
+                        (got.metadata["evaluator"], got.metadata["backend"]["resolved"])
                     ] += 1
     # Both sides of the lowering must run: plans (on both backends) and
     # fallbacks to the evaluator.
-    assert evaluators[("plan", "interpreter")] >= CASES, evaluators
-    assert evaluators[("plan", "sqlite")] >= CASES // 4, evaluators
-    assert evaluators[("sql-evaluator", "interpreter")] >= CASES, evaluators
+    assert evaluators[("plan", "interpreter")] >= SQL_CASES, evaluators
+    assert evaluators[("plan", "sqlite")] >= SQL_CASES // 4, evaluators
+    assert evaluators[("sql-evaluator", "interpreter")] >= SQL_CASES, evaluators
+
+
+def test_sqlite_matches_interpreter_randomized():
+    """The backend axis alone (traced and untraced, set and bag,
+    monolithic and sharded): ``backend="auto"`` against the
+    interpreter, with every SQLite-resolution floor."""
+    sweep(slice_rows(backend=("auto",), semantics=("set", "bag"), shards=(0, 2),
+                     trace=(False, True)))

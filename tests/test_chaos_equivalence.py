@@ -1,68 +1,18 @@
-"""Chaos harness: fault injection must never change *what* is computed.
+"""The fault axis of the differential harness, on its own.
 
-Each case evaluates a random query over a random tiny database — every
-registered strategy, monolithic and sharded — twice: once fault-free
-(the reference) and once under a seeded :class:`FaultPlan` injecting
-transient shard failures, cache backend outages and SQLite
-``OperationalError``\\ s.  Three invariants are enforced:
-
-1. **No request outlives its deadline.**  Every chaotic evaluation runs
-   under a ``timeout``; it either returns, or fails with
-   :class:`DeadlineExceeded` / a fault-typed error — and its wall clock
-   stays within the budget plus bounded slack.
-2. **No fault poisons a cache entry.**  After disarming the faults, the
-   *same* engine (same caches, same breakers) re-evaluates every query
-   and must be tuple-identical to the fault-free reference.
-3. **Degradation is sound.**  A result carrying ``metadata["degraded"]``
-   guarantees ``"sound-subset"``: its rows (and certain answers) are a
-   subset of the fault-free ones.  A chaotic result *without* that
-   marker must be tuple-identical to the reference — retries and backend
-   failovers are invisible in the answer.
-
-The schedule is deterministic: ``REPRO_CHAOS_SEED`` picks the fault
-schedule, ``REPRO_CHAOS_CASES`` the case count, so CI can replay a
-failure exactly (crash-kind faults are exercised separately in
-``test_resilience.py`` — ``os._exit`` has no place in an equivalence
-loop).
+``tests/test_differential.py`` crosses a seeded ``FaultPlan`` with every
+other engine knob; this slice arms it alone, on sharded databases under
+both backends, as the historical chaos harness did: a degraded answer is
+a sound subset, no call outlives its deadline, and the caches replay the
+reference answers once the faults are disarmed.
 """
 
 from __future__ import annotations
 
-import os
-import random
-import sqlite3
-import time
-
 import pytest
 
-from repro import Engine
-from repro.engine import EngineError, StrategyNotApplicableError, available_strategies
-from repro.resilience import (
-    DeadlineExceeded,
-    FaultPlan,
-    FaultRule,
-    InjectedFault,
-    RetryPolicy,
-    faults_armed,
-    reset_breakers,
-)
-from repro.sharding import HashPartitioner, RoundRobinPartitioner, ShardedDatabase
-
-from test_sharding_equivalence import _assert_identical, _build_database, _QueryGen
-
-SEED = int(os.environ.get("REPRO_CHAOS_SEED", "20260808"))
-CASES = int(os.environ.get("REPRO_CHAOS_CASES", "25"))
-
-#: Per-evaluation wall-clock budget, and the slack allowed on top of it
-#: before invariant 1 counts as violated (scheduler noise, not compute).
-TIMEOUT = 20.0
-SLACK = 10.0
-
-#: Failures a chaotic run may legitimately surface: the engine's own
-#: error (retry exhausted, degrade unavailable, every shard failed), the
-#: injected fault itself, or its SQLite disguise.  Anything else — a
-#: ``KeyError`` from a half-written cache entry, say — is a real bug.
-FAULT_ERRORS = (EngineError, InjectedFault, sqlite3.OperationalError)
+from repro.resilience import reset_breakers
+from test_differential import slice_rows, sweep
 
 
 @pytest.fixture(autouse=True)
@@ -72,123 +22,6 @@ def _clean_breakers():
     reset_breakers()
 
 
-def _chaos_plan(rng: random.Random) -> FaultPlan:
-    return FaultPlan(
-        [
-            FaultRule(point="shard.task", probability=0.25, error="transient"),
-            FaultRule(point="cache.get", probability=0.2, error="transient"),
-            FaultRule(point="cache.put", probability=0.2, error="transient"),
-            FaultRule(point="sqlite.run", probability=0.2, error="operational"),
-        ],
-        seed=rng.randrange(1_000_000),
-    )
-
-
-def _reference_results(engine: Engine, query, db, sharded) -> dict:
-    """Fault-free answers per (strategy, target); strategies that refuse
-    the query are skipped (the chaotic run must refuse it too)."""
-    results: dict = {}
-    for strategy in available_strategies():
-        for target_name, target in (("mono", db), ("sharded", sharded)):
-            try:
-                results[strategy, target_name] = engine.evaluate(
-                    query, target, strategy=strategy, use_cache=False,
-                    executor="serial",
-                )
-            except (StrategyNotApplicableError, EngineError, ValueError, TypeError):
-                results[strategy, target_name] = None
-    return results
-
-
-def _assert_sound_subset(chaotic, reference, label: str) -> None:
-    degraded = chaotic.metadata["degraded"]
-    assert degraded["guarantee"] == "sound-subset", label
-    assert degraded["failed_shards"], label
-    assert chaotic.relation.rows_set() <= reference.relation.rows_set(), (
-        f"{label}: degraded answer is not a subset\n"
-        f"degraded:  {chaotic.relation.sorted_rows()}\n"
-        f"reference: {reference.relation.sorted_rows()}"
-    )
-    for side in ("certain", "possible"):
-        a, b = getattr(chaotic, side), getattr(reference, side)
-        if a is not None and b is not None and side == "certain":
-            assert a.rows_set() <= b.rows_set(), f"{label}: degraded {side}"
-    assert chaotic.metadata.get("exact") is not True, label
-
-
-def _run_case(case: int) -> dict:
-    rng = random.Random(SEED * 1_000_003 + case)
-    db = _build_database(rng)
-    shards = rng.choice([2, 3])
-    partitioner = rng.choice([HashPartitioner, RoundRobinPartitioner])()
-    sharded = ShardedDatabase.from_database(db, shards, partitioner)
-    query = _QueryGen(rng, db.schema()).query(rng.randint(1, 3))
-    on_shard_error = rng.choice(["retry", "degrade"])
-    retry = RetryPolicy(max_attempts=4, base_delay=0.0, max_delay=0.0, seed=case)
-    label_base = f"case {case} (seed {SEED}, shards {shards}, {on_shard_error})"
-
-    # One engine for the whole case: its caches live through the chaos
-    # and are interrogated again after the faults are disarmed.
-    engine = Engine()
-    reference = _reference_results(engine, query, db, sharded)
-    stats = {"ok": 0, "degraded": 0, "deadline": 0, "failed": 0}
-
-    with faults_armed(_chaos_plan(rng)):
-        for (strategy, target_name), ref in reference.items():
-            target = db if target_name == "mono" else sharded
-            label = f"{label_base}, {strategy}/{target_name}"
-            start = time.monotonic()
-            try:
-                chaotic = engine.evaluate(
-                    query, target, strategy=strategy, use_cache=True,
-                    executor="serial", timeout=TIMEOUT,
-                    on_shard_error=on_shard_error, retry=retry,
-                )
-            except DeadlineExceeded:
-                stats["deadline"] += 1
-                chaotic = None
-            except FAULT_ERRORS:
-                stats["failed"] += 1
-                chaotic = None
-            except (StrategyNotApplicableError, ValueError, TypeError):
-                # The strategy refuses this query with or without faults.
-                assert ref is None, f"{label}: refused only under faults"
-                chaotic = None
-            elapsed = time.monotonic() - start
-            assert elapsed <= TIMEOUT + SLACK, (
-                f"{label}: evaluation outlived its deadline ({elapsed:.1f}s)"
-            )
-            if chaotic is None:
-                continue
-            assert ref is not None, f"{label}: succeeded only under faults"
-            if chaotic.metadata.get("degraded"):
-                stats["degraded"] += 1
-                _assert_sound_subset(chaotic, ref, label)
-            else:
-                stats["ok"] += 1
-                _assert_identical(ref, chaotic, label)
-
-    # Invariant 2: faults are gone; the engine's caches (fed while the
-    # fault plan was live) must still serve fault-free answers.
-    for (strategy, target_name), ref in reference.items():
-        if ref is None:
-            continue
-        target = db if target_name == "mono" else sharded
-        label = f"{label_base}, {strategy}/{target_name} (post-disarm)"
-        replay = engine.evaluate(
-            query, target, strategy=strategy, use_cache=True, executor="serial"
-        )
-        _assert_identical(ref, replay, label)
-    return stats
-
-
-@pytest.mark.timeout(600)
 def test_chaos_preserves_answers_and_caches():
-    totals = {"ok": 0, "degraded": 0, "deadline": 0, "failed": 0}
-    for case in range(CASES):
-        for key, value in _run_case(case).items():
-            totals[key] += value
-    # The schedule must actually bite: plenty of evaluations survive the
-    # chaos untouched AND a meaningful number take a fault path.
-    assert totals["ok"] >= CASES, totals
-    assert totals["degraded"] + totals["failed"] >= CASES // 5, totals
+    sweep(slice_rows(faults=(True,), shards=(1, 2, 3), executor=("serial", "thread"),
+                     backend=("auto", "interpreter")))

@@ -5,8 +5,8 @@ Four contracts from ``repro.obs``:
 * **Zero cost when disabled** — an untraced evaluation allocates no
   :class:`~repro.obs.Span` objects at all (proved via the span-creation
   hook, not by timing), and ``trace=True`` never changes the answer or
-  the rest of the metadata (the randomized half of that property lives
-  in ``tests/test_backend_equivalence.py``).
+  the rest of the metadata (the randomized half of that property is
+  the ``trace`` axis of ``tests/test_differential.py``).
 * **Span trees stitch across process pools** — per-shard worker spans
   collected in other processes graft back under the orchestrator's
   fan-out span, pid and all.

@@ -1,7 +1,7 @@
 """Unit tests for the plan optimizer and its physical operators.
 
 The randomized end-to-end guarantees live in
-``tests/test_optimizer_equivalence.py``; this file pins the individual
+``tests/test_differential.py``; this file pins the individual
 rewrite rules, the per-condition-mode soundness gating, the physical
 evaluator nodes (hash equi-join, constrained domain enumeration), the
 ``Dom^k`` size guard, and the satellite fast paths on ``Relation``.

@@ -1,334 +1,21 @@
-"""Randomized optimized-vs-unoptimized equivalence harness.
+"""The optimize axis of the differential harness, on its own.
 
-The metamorphic property that makes the plan optimizer safe to keep on
-by default: for any (query, database), evaluating with ``optimize=True``
-must be **result-identical** to ``optimize=False`` —
-
-* through the engine, for every registered strategy (all six), tuple for
-  tuple including the certain/possible/certainly-false side relations
-  and the per-tuple certainty annotations;
-* under set and bag semantics;
-* on monolithic and sharded databases (the optimizer runs inside each
-  per-fragment strategy call);
-* at the raw evaluator level in **both condition modes** (``naive`` and
-  ``3vl``) — the engine strategies only exercise naïve-mode algebra
-  evaluation, so the mode-gated rules need the direct check too.
-
-Databases are tiny (≤ 2 nulls) so ``exact-certain`` stays computable;
-the query generator is shared in shape with
-``tests/test_sharding_equivalence.py`` and covers σ (with ∧/self-
-comparisons), π, ρ, ×, ∪, −, ∩, ÷ and ⋉ — which exercises every logical
-rule plus the equi-join and constrained-domain physical nodes (via the
-Figure 2a translation's ``Dom^k`` selections).
-
-Seed fixed, overridable via ``REPRO_OPTIMIZER_SEED``; case count via
-``REPRO_OPTIMIZER_CASES`` (CI runs a second seed).
+``tests/test_differential.py`` crosses ``optimize=True`` with every
+other engine knob; these two slices flip it alone against the
+unoptimized reference, as the historical optimizer harness did.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import random
-from collections import Counter
-
-from repro import Database, Engine, Null, Relation
-from repro.algebra import EquiJoin, builder as rb, walk
-from repro.algebra.conditions import And, Attr, Eq, Literal, Neq
-from repro.algebra.evaluator import Evaluator
-from repro.engine import EngineError, StrategyNotApplicableError, available_strategies
-from repro.sharding import HashPartitioner, ShardedDatabase
-from repro.workloads import GeneratorConfig, RelationSpec, generate_database
-
-SEED = int(os.environ.get("REPRO_OPTIMIZER_SEED", "20260728"))
-CASES = int(os.environ.get("REPRO_OPTIMIZER_CASES", "120"))
-
-
-# ----------------------------------------------------------------------
-# Random databases: tiny, with a bounded number of nulls
-# ----------------------------------------------------------------------
-def _build_database(rng: random.Random) -> Database:
-    config = GeneratorConfig(
-        relations=(
-            RelationSpec("R", ("a", "b"), rng.randint(2, 4)),
-            RelationSpec("S", ("c", "d"), rng.randint(2, 4)),
-            RelationSpec("T", ("e",), rng.randint(1, 3)),
-        ),
-        domain_size=4,
-        null_rate=0.0,
-        seed=rng.randrange(1_000_000),
-    )
-    db = generate_database(config)
-    return _inject_k_nulls(db, rng.randint(0, 2), rng.random() < 0.5, rng)
-
-
-def _inject_k_nulls(db: Database, k: int, repeated: bool, rng: random.Random) -> Database:
-    if k == 0:
-        return db
-    rows_by_relation = {
-        name: list(relation.iter_rows_bag()) for name, relation in db.relations()
-    }
-    positions = [
-        (name, i, j)
-        for name, rows in rows_by_relation.items()
-        for i, row in enumerate(rows)
-        for j in range(len(row))
-    ]
-    chosen = rng.sample(positions, min(k, len(positions)))
-    shared = Null(f"o{rng.randrange(1_000_000)}")
-    for index, (name, i, j) in enumerate(chosen):
-        null = shared if repeated else Null(f"o{rng.randrange(1_000_000)}_{index}")
-        row = list(rows_by_relation[name][i])
-        row[j] = null
-        rows_by_relation[name][i] = tuple(row)
-    return Database(
-        {
-            name: Relation(db[name].attributes, rows)
-            for name, rows in rows_by_relation.items()
-        }
-    )
-
-
-# ----------------------------------------------------------------------
-# Random queries with valid attribute typing
-# ----------------------------------------------------------------------
-class _QueryGen:
-    def __init__(self, rng: random.Random, schema):
-        self.rng = rng
-        self.schema = schema
-        self._fresh = itertools.count()
-
-    def fresh_attr(self) -> str:
-        return f"x{next(self._fresh)}"
-
-    def condition(self, attrs):
-        rng = self.rng
-        left = Attr(rng.choice(attrs))
-        roll = rng.random()
-        if roll < 0.1:
-            # Self-comparisons: exercises the mode-gated trivial rules.
-            right = left
-        elif len(attrs) > 1 and roll < 0.45:
-            right = Attr(rng.choice(attrs))
-        else:
-            right = Literal(f"v{rng.randrange(4)}")
-        condition = (Eq if rng.random() < 0.7 else Neq)(left, right)
-        if rng.random() < 0.3:
-            # Conjunctions: exercises split-conjunction + pushdowns.
-            other = Attr(rng.choice(attrs))
-            condition = And(condition, Eq(other, Literal(f"v{rng.randrange(4)}")))
-        return condition
-
-    def with_arity(self, arity: int):
-        rng = self.rng
-        name = rng.choice(["R", "S"] if arity == 2 else ["R", "S", "T"])
-        plan = rb.relation(name)
-        attrs = list(plan.output_attributes(self.schema))
-        while len(attrs) < arity:  # widen with renamed T columns as needed
-            plan = rb.product(plan, rb.rename(rb.relation("T"), {"e": self.fresh_attr()}))
-            attrs = list(plan.output_attributes(self.schema))
-        if len(attrs) > arity:
-            keep = rng.sample(attrs, arity)
-            rng.shuffle(keep)
-            plan = rb.project(plan, keep)
-            attrs = keep
-        if rng.random() < 0.4:
-            plan = rb.select(plan, self.condition(attrs))
-        return plan
-
-    def query(self, depth: int):
-        rng = self.rng
-        if depth <= 0 or rng.random() < 0.25:
-            return rb.relation(rng.choice(["R", "S", "T"]))
-        child = self.query(depth - 1)
-        attrs = list(child.output_attributes(self.schema))
-        op = rng.choices(
-            ["select", "project", "rename", "product", "union", "difference",
-             "intersection", "division", "semijoin"],
-            weights=[22, 12, 8, 22, 12, 10, 6, 4, 4],
-        )[0]
-        if op == "select":
-            return rb.select(child, self.condition(attrs))
-        if op == "project":
-            keep = rng.sample(attrs, rng.randint(1, len(attrs)))
-            return rb.project(child, keep)
-        if op == "rename":
-            renamed = rng.sample(attrs, rng.randint(1, len(attrs)))
-            return rb.rename(child, {a: self.fresh_attr() for a in renamed})
-        if op == "product":
-            right = self.with_arity(rng.choice([1, 2]))
-            right_attrs = right.output_attributes(self.schema)
-            disjoint = rb.rename(right, {a: self.fresh_attr() for a in right_attrs})
-            plan = rb.product(child, disjoint)
-            if rng.random() < 0.75:
-                # Cross-side equality: the equi-join conversion's trigger.
-                left_attr = rng.choice(attrs)
-                right_attr = rng.choice(
-                    list(disjoint.output_attributes(self.schema))
-                )
-                plan = rb.select(plan, Eq(Attr(left_attr), Attr(right_attr)))
-            return plan
-        if op in ("union", "difference", "intersection"):
-            right = self.with_arity(len(attrs))
-            build = {"union": rb.union, "difference": rb.difference,
-                     "intersection": rb.intersection}[op]
-            return build(child, right)
-        if op == "division" and len(attrs) >= 2:
-            divisor = self.with_arity(1)
-            divisor_attr = divisor.output_attributes(self.schema)[0]
-            return rb.division(child, rb.rename(divisor, {divisor_attr: attrs[-1]}))
-        if op == "semijoin":
-            right = self.with_arity(1)
-            right_attr = right.output_attributes(self.schema)[0]
-            return rb.semijoin(
-                child, rb.rename(right, {right_attr: rng.choice(attrs)})
-            )
-        return child
-
-
-# ----------------------------------------------------------------------
-# Result comparison: tuple-for-tuple identity
-# ----------------------------------------------------------------------
-def _assert_identical(plain, fast, label: str) -> None:
-    assert plain.relation.attributes == fast.relation.attributes, label
-    assert plain.relation.rows_bag() == fast.relation.rows_bag(), (
-        f"{label}: primary answers differ\nunoptimized: "
-        f"{plain.relation.sorted_rows()}\noptimized:   {fast.relation.sorted_rows()}"
-    )
-    for side in ("certain", "possible", "certainly_false"):
-        a, b = getattr(plain, side), getattr(fast, side)
-        assert (a is None) == (b is None), f"{label}: {side} presence differs"
-        if a is not None:
-            assert a.rows_set() == b.rows_set(), f"{label}: {side} rows differ"
-    plain_annotated = Counter((t.row, t.status, t.multiplicity) for t in plain.tuples)
-    fast_annotated = Counter((t.row, t.status, t.multiplicity) for t in fast.tuples)
-    assert plain_annotated == fast_annotated, f"{label}: annotations differ"
-
-
-def _evaluate_both(engine, query, db, label, **kwargs):
-    """(unoptimized, optimized) results, or None when both raise alike."""
-    try:
-        plain = engine.evaluate(query, db, optimize=False, use_cache=False, **kwargs)
-    except (StrategyNotApplicableError, EngineError, ValueError, TypeError) as exc:
-        try:
-            engine.evaluate(query, db, optimize=True, use_cache=False, **kwargs)
-        except type(exc):
-            return None
-        raise AssertionError(
-            f"{label}: unoptimized raised {type(exc).__name__} but the "
-            "optimized evaluation did not"
-        )
-    fast = engine.evaluate(query, db, optimize=True, use_cache=False, **kwargs)
-    _assert_identical(plain, fast, label)
-    return plain, fast
-
-
-def _run_case(engine: Engine, rng: random.Random, case: int) -> int:
-    db = _build_database(rng)
-    gen = _QueryGen(rng, db.schema())
-    query = gen.query(rng.randint(1, 3))
-    label_base = f"case {case} (seed {SEED})"
-    joins_seen = 0
-
-    for strategy in available_strategies():
-        pair = _evaluate_both(
-            engine, query, db, f"{label_base}, strategy {strategy}", strategy=strategy
-        )
-        if pair is not None and strategy == "naive":
-            joins_seen += _plan_builds_equijoin(query, db)
-
-    # Bag semantics through the engine (naïve is the bag-capable algebra path).
-    _evaluate_both(
-        engine, query, db, f"{label_base}, naive (bag)", strategy="naive",
-        semantics="bag",
-    )
-
-    # Sharded evaluation: the optimizer must act identically per fragment.
-    sharded = ShardedDatabase.from_database(
-        db, rng.choice([2, 3]), HashPartitioner()
-    )
-    for strategy in ("naive", "approx-guagliardo16"):
-        _evaluate_both(
-            engine, query, sharded, f"{label_base}, sharded {strategy}",
-            strategy=strategy,
-        )
-
-    # Raw evaluator, both condition modes, set and bag: identical relations.
-    for mode in ("naive", "3vl"):
-        for bag in (False, True):
-            label = f"{label_base}, evaluator ({mode}, {'bag' if bag else 'set'})"
-            try:
-                plain = Evaluator(condition_mode=mode, bag=bag).evaluate(query, db)
-            except (ValueError, TypeError, KeyError) as exc:
-                try:
-                    Evaluator(
-                        condition_mode=mode, bag=bag, optimize=True
-                    ).evaluate(query, db)
-                except type(exc):
-                    continue
-                raise AssertionError(f"{label}: only unoptimized raised")
-            fast = Evaluator(condition_mode=mode, bag=bag, optimize=True).evaluate(
-                query, db
-            )
-            assert plain == fast, (
-                f"{label}: relations differ\nunoptimized: {plain.sorted_rows()}"
-                f"\noptimized:   {fast.sorted_rows()}"
-            )
-    return joins_seen
-
-
-def _plan_builds_equijoin(query, db) -> bool:
-    from repro.algebra.optimize import optimize_plan
-
-    return any(
-        isinstance(node, EquiJoin)
-        for node in walk(optimize_plan(query, db.schema()))
-    )
+from test_differential import slice_rows, sweep
 
 
 def test_optimized_equals_unoptimized_randomized():
-    engine = Engine()
-    joins = 0
-    for case in range(CASES):
-        rng = random.Random(SEED * 1_000_003 + case)
-        joins += _run_case(engine, rng, case)
-    # The generator must actually exercise the physical join path, or
-    # the harness silently stops guarding the interesting rewrites.
-    assert joins >= CASES // 10, joins
+    """Identical answers, set and bag, plus the raw evaluator in both
+    condition modes; plans must build an ``EquiJoin`` often enough."""
+    sweep(slice_rows(optimize=(True,), semantics=("set", "bag")))
 
 
 def test_soundness_chain_holds_under_optimization():
     """Q+ ⊆ cert⊥ ⊆ naive and cert⊥ ⊆ Q? with the optimizer on."""
-    engine = Engine()
-    checked = 0
-    for case in range(min(CASES, 40)):
-        rng = random.Random(SEED * 7_919 + case)
-        db = _build_database(rng)
-        gen = _QueryGen(rng, db.schema())
-        query = gen.query(rng.randint(1, 3))
-        results = {}
-        for strategy in ("exact-certain", "naive", "approx-guagliardo16",
-                         "approx-libkin16"):
-            try:
-                results[strategy] = engine.evaluate(
-                    query, db, strategy=strategy, optimize=True, use_cache=False
-                )
-            except (StrategyNotApplicableError, EngineError, ValueError, TypeError):
-                continue
-        if "exact-certain" not in results:
-            continue
-        checked += 1
-        cert = results["exact-certain"].relation.rows_set()
-        if "approx-guagliardo16" in results:
-            guag = results["approx-guagliardo16"]
-            assert guag.certain.rows_set() <= cert, f"case {case}: Q+ ⊄ cert"
-            assert cert <= guag.possible.rows_set(), f"case {case}: cert ⊄ Q?"
-        if "approx-libkin16" in results:
-            assert results["approx-libkin16"].certain.rows_set() <= cert, (
-                f"case {case}: Qt ⊄ cert"
-            )
-        if "naive" in results:
-            assert cert <= results["naive"].relation.rows_set(), (
-                f"case {case}: cert ⊄ naive"
-            )
-    assert checked >= 10, checked
+    sweep(slice_rows(optimize=(True,)))

@@ -1,18 +1,14 @@
 """The ``strategy="auto"`` planner and the capability contract.
 
-Three layers of guarantees:
+Two layers of guarantees (the randomized auto-vs-explicit identity and
+its exactness audit live on the ``strategy`` axis of
+``tests/test_differential.py``, and on its own in
+``test_auto_equals_reported_strategy_randomized``):
 
 1. **Pins** — the Theorem 4.4 fragments (CQ/UCQ/Pos∀G, on the calculus,
    algebra *and* SQL frontends) select naïve evaluation; anything with
    negation does not.
-2. **Randomized identity** — auto's answer is tuple-for-tuple equal to
-   explicitly naming the strategy it reports choosing, across set/bag
-   semantics and monolithic/sharded databases (fixed seed, overridable
-   via ``REPRO_PLANNER_SEED`` / ``REPRO_PLANNER_CASES``).  On top of
-   identity, every decision claiming ``guarantee="exact"`` is audited
-   against ``exact-certain`` — so the algebra fragment classifier can
-   never silently over-claim Theorem 4.4.
-3. **Contract** — the back-compat shim for legacy strategy classes, the
+2. **Contract** — the back-compat shim for legacy strategy classes, the
    capability introspection surface (``available_strategies(verbose=True)``,
    ``Engine.describe()``), and cache-key sharing between auto and
    explicit calls.
@@ -20,11 +16,7 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
-import itertools
-import os
-import random
 import warnings
-from collections import Counter
 
 import pytest
 
@@ -48,11 +40,7 @@ from repro.engine import (
     unregister_strategy,
 )
 from repro.engine.capabilities import EXACT_FRAGMENTS_CWA
-from repro.sharding import HashPartitioner, RoundRobinPartitioner, ShardedDatabase
-from repro.workloads import GeneratorConfig, RelationSpec, generate_database
-
-SEED = int(os.environ.get("REPRO_PLANNER_SEED", "20260728"))
-CASES = int(os.environ.get("REPRO_PLANNER_CASES", "120"))
+from test_differential import slice_rows, sweep
 
 
 @pytest.fixture
@@ -232,196 +220,8 @@ class TestClassifyPlan:
 
 
 # ----------------------------------------------------------------------
-# Randomized auto-vs-explicit identity (+ exactness audit)
+# Cache sharing between auto and explicit calls
 # ----------------------------------------------------------------------
-def _build_database(rng: random.Random) -> Database:
-    config = GeneratorConfig(
-        relations=(
-            RelationSpec("R", ("a", "b"), rng.randint(2, 4)),
-            RelationSpec("S", ("c", "d"), rng.randint(2, 4)),
-            RelationSpec("T", ("e",), rng.randint(1, 3)),
-        ),
-        domain_size=4,
-        null_rate=0.0,
-        seed=rng.randrange(1_000_000),
-    )
-    db = generate_database(config)
-    # Bias toward incomplete databases: complete ones short-circuit the
-    # planner to naïve, and the interesting decisions need nulls.
-    k = rng.choice([0, 1, 1, 2, 2])
-    if k == 0:
-        return db
-    rows = {name: list(rel.iter_rows_bag()) for name, rel in db.relations()}
-    positions = [
-        (name, i, j)
-        for name, rs in rows.items()
-        for i, row in enumerate(rs)
-        for j in range(len(row))
-    ]
-    shared = Null(f"h{rng.randrange(1_000_000)}")
-    for index, (name, i, j) in enumerate(rng.sample(positions, min(k, len(positions)))):
-        null = shared if rng.random() < 0.5 else Null(f"h{rng.randrange(1_000_000)}_{index}")
-        row = list(rows[name][i])
-        row[j] = null
-        rows[name][i] = tuple(row)
-    return Database(
-        {name: Relation(db[name].attributes, rs) for name, rs in rows.items()}
-    )
-
-
-class _QueryGen:
-    """Random plans mixing positive operators with negation-bearing ones."""
-
-    def __init__(self, rng: random.Random, schema):
-        self.rng = rng
-        self.schema = schema
-        self._fresh = itertools.count()
-
-    def fresh_attr(self) -> str:
-        return f"x{next(self._fresh)}"
-
-    def condition(self, attrs):
-        rng = self.rng
-        left = Attr(rng.choice(attrs))
-        if len(attrs) > 1 and rng.random() < 0.4:
-            right = Attr(rng.choice(attrs))
-        else:
-            right = Literal(f"v{rng.randrange(4)}")
-        return (Eq if rng.random() < 0.7 else Neq)(left, right)
-
-    def with_arity(self, arity: int):
-        rng = self.rng
-        name = rng.choice(["R", "S"] if arity == 2 else ["R", "S", "T"])
-        plan = rb.relation(name)
-        attrs = list(plan.output_attributes(self.schema))
-        if len(attrs) > arity:
-            keep = rng.sample(attrs, arity)
-            plan = rb.project(plan, keep)
-        return plan
-
-    def query(self, depth: int):
-        rng = self.rng
-        if depth <= 0 or rng.random() < 0.25:
-            return rb.relation(rng.choice(["R", "S", "T"]))
-        child = self.query(depth - 1)
-        attrs = list(child.output_attributes(self.schema))
-        op = rng.choices(
-            ["select", "project", "rename", "product", "union", "difference",
-             "intersection", "division", "semijoin"],
-            weights=[22, 14, 8, 14, 12, 10, 8, 6, 6],
-        )[0]
-        if op == "select":
-            return rb.select(child, self.condition(attrs))
-        if op == "project":
-            return rb.project(child, rng.sample(attrs, rng.randint(1, len(attrs))))
-        if op == "rename":
-            renamed = rng.sample(attrs, rng.randint(1, len(attrs)))
-            return rb.rename(child, {a: self.fresh_attr() for a in renamed})
-        if op == "product":
-            right = self.with_arity(rng.choice([1, 2]))
-            right_attrs = right.output_attributes(self.schema)
-            return rb.product(
-                child, rb.rename(right, {a: self.fresh_attr() for a in right_attrs})
-            )
-        if op in ("union", "difference", "intersection"):
-            right = self.with_arity(len(attrs))
-            build = {"union": rb.union, "difference": rb.difference,
-                     "intersection": rb.intersection}[op]
-            return build(child, right)
-        if op == "division" and len(attrs) >= 2:
-            divisor = self.with_arity(1)
-            divisor_attr = divisor.output_attributes(self.schema)[0]
-            return rb.division(child, rb.rename(divisor, {divisor_attr: attrs[-1]}))
-        if op == "semijoin":
-            right = self.with_arity(1)
-            right_attr = right.output_attributes(self.schema)[0]
-            return rb.semijoin(
-                child, rb.rename(right, {right_attr: rng.choice(attrs)})
-            )
-        return child
-
-
-def _assert_identical(auto, explicit, label: str) -> None:
-    assert auto.strategy == explicit.strategy, label
-    assert auto.relation.attributes == explicit.relation.attributes, label
-    assert auto.relation.rows_bag() == explicit.relation.rows_bag(), (
-        f"{label}: primary answers differ\nauto:     {auto.relation.sorted_rows()}"
-        f"\nexplicit: {explicit.relation.sorted_rows()}"
-    )
-    for side in ("certain", "possible", "certainly_false"):
-        a, b = getattr(auto, side), getattr(explicit, side)
-        assert (a is None) == (b is None), f"{label}: {side} presence differs"
-        if a is not None:
-            assert a.rows_set() == b.rows_set(), f"{label}: {side} rows differ"
-    auto_annotated = Counter((t.row, t.status, t.multiplicity) for t in auto.tuples)
-    explicit_annotated = Counter(
-        (t.row, t.status, t.multiplicity) for t in explicit.tuples
-    )
-    assert auto_annotated == explicit_annotated, f"{label}: annotations differ"
-
-
-def test_auto_equals_reported_strategy_randomized():
-    engine = Engine()
-    chosen = Counter()
-    exact_audits = 0
-    for case in range(CASES):
-        rng = random.Random(SEED * 1_000_003 + case)
-        db = _build_database(rng)
-        gen = _QueryGen(rng, db.schema())
-        query = gen.query(rng.randint(1, 3))
-        semantics = "bag" if rng.random() < 0.25 else "set"
-        sharded = rng.random() < 0.4
-        target = (
-            ShardedDatabase.from_database(
-                db,
-                rng.choice([2, 3]),
-                rng.choice([HashPartitioner, RoundRobinPartitioner])(),
-            )
-            if sharded
-            else db
-        )
-        label = f"case {case} (seed {SEED}, semantics {semantics}, sharded {sharded})"
-        try:
-            auto = engine.evaluate(
-                query, target, strategy="auto", semantics=semantics, use_cache=False
-            )
-        except (StrategyNotApplicableError, EngineError, ValueError, TypeError):
-            continue
-        plan = _plan(auto)
-        chosen[plan["strategy"]] += 1
-        explicit = engine.evaluate(
-            query,
-            target,
-            strategy=plan["strategy"],
-            semantics=semantics,
-            use_cache=False,
-        )
-        _assert_identical(auto, explicit, label)
-
-        # Exactness audit: a decision claiming "exact" must actually
-        # return the certain answers (checked against the brute-force
-        # enumeration; the generator keeps databases tiny).
-        if (
-            plan["guarantee"] == "exact"
-            and semantics == "set"
-            and plan["strategy"] == "naive"
-        ):
-            cert = engine.evaluate(
-                query, db, strategy="exact-certain", use_cache=False
-            )
-            assert auto.relation.rows_set() == cert.relation.rows_set(), (
-                f"{label}: planner claimed exactness on fragment "
-                f"{plan['fragment']} but naïve != cert⊥"
-            )
-            exact_audits += 1
-    # The generator must exercise a genuine mix of decisions, otherwise
-    # the harness silently stops guarding the planner.
-    assert len(chosen) >= 2, chosen
-    assert chosen["naive"] >= CASES // 10, chosen
-    assert chosen["approx-guagliardo16"] >= CASES // 20, chosen
-    assert exact_audits >= CASES // 10, exact_audits
-
-
 def test_auto_shares_cache_entries_with_explicit_calls(db):
     engine = Engine()
     query = rb.select(rb.relation("R"), Eq(Attr("b"), Literal(3)))
@@ -565,3 +365,9 @@ class TestCapabilityContract:
         monkeypatch.setenv("REPRO_AUTO_EXACT_BUDGET", "1000000")
         plan = _plan(Engine().evaluate(query, db, strategy="auto", use_cache=False))
         assert plan["strategy"] == "exact-certain"
+
+
+def test_auto_equals_reported_strategy_randomized():
+    """The strategy axis alone: ``auto`` answers as the strategy it
+    reports, and a naïve choice claiming exactness equals cert⊥."""
+    sweep(slice_rows(strategy=("auto",), semantics=("set", "bag"), shards=(0, 2)))

@@ -249,6 +249,19 @@ def test_engine_timeout_raises_deadline_exceeded():
     assert len(result.relation) == 12
 
 
+@pytest.mark.parametrize("timeout", [-1.0, float("nan")])
+def test_engine_rejects_negative_and_nan_timeouts(timeout):
+    # NaN compares false against everything: unchecked, it never expired
+    # monolithically and expired at once on a sharded fan-out.
+    from repro.sharding import ShardedDatabase
+
+    db = _database()
+    engine = Engine()
+    for target in (db, ShardedDatabase.from_database(db, 2)):
+        with pytest.raises(ValueError, match="non-negative"):
+            engine.evaluate(rb.relation("R"), target, timeout=timeout, use_cache=False)
+
+
 def test_compare_shares_one_deadline():
     db = _database()
     plan = rb.relation("R")

@@ -129,6 +129,19 @@ def test_unknown_dataset_and_bad_sql_are_client_errors(client):
     assert excinfo.value.status == 400
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [{"timeout_ms": float("nan")}, {"use_cache": "false"}, {"optimize": 0}, {"trace": "yes"}],
+    ids=["nan-timeout", "string-use-cache", "int-optimize", "string-trace"],
+)
+def test_nan_timeout_and_non_boolean_flags_are_client_errors(client, settings):
+    # json.loads accepts NaN, and bool("false") is True: both used to
+    # slip through the wire decoding.
+    with pytest.raises(ServerRequestError) as excinfo:
+        client.query("SELECT a FROM R", db="toy", **settings)
+    assert excinfo.value.status == 400
+
+
 # ----------------------------------------------------------------------
 # Tenants
 # ----------------------------------------------------------------------

@@ -1,372 +1,22 @@
-"""Randomized stats-on-vs-stats-off equivalence harness.
+"""The stats axis of the differential harness, on its own.
 
-The soundness contract of :mod:`repro.algebra.stats`: statistics steer
-*cost* decisions only — join order, hash build side, strategy
-tie-breaks — never answers.  For any (query, database), evaluating with
-``stats=True`` must be **result-identical** to ``stats=False`` (both
-with the optimizer on, since stats only act through it) —
-
-* through the engine, for every registered strategy (all six), tuple
-  for tuple including the certain/possible/certainly-false side
-  relations and the per-tuple certainty annotations;
-* under set and bag semantics;
-* on monolithic and sharded databases (each fragment plans from its
-  *own* statistics, so fragment plans may differ from the monolithic
-  one — the results must not);
-* at the raw evaluator level in **both condition modes** (``naive`` and
-  ``3vl``), where the estimate-driven join reordering and pinned build
-  sides actually fire.
-
-Databases are tiny (≤ 2 nulls) so ``exact-certain`` stays computable;
-the query generator is shared in shape with
-``tests/test_optimizer_equivalence.py`` and leans harder on products
-with cross-side equalities so the reorder-joins and build-side rules
-(the stats-only rewrites) fire often enough to be worth guarding — the
-coverage floor at the bottom asserts that stats actually *changed* the
-chosen plan in a meaningful fraction of cases.
-
-Seed fixed, overridable via ``REPRO_STATS_SEED``; case count via
-``REPRO_STATS_CASES`` (CI runs a second seed).
+``tests/test_differential.py`` crosses ``stats=True`` with every other
+engine knob; these two slices turn statistics-driven planning on (with
+the optimizer that consumes them) against the plain reference, as the
+historical statistics harness did.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import random
-from collections import Counter
-
-from repro import Database, Engine, Null, Relation
-from repro.algebra import builder as rb
-from repro.algebra.conditions import And, Attr, Eq, Literal, Neq
-from repro.algebra.evaluator import Evaluator
-from repro.algebra.optimize import optimize_plan
-from repro.algebra.stats import Stats
-from repro.engine import EngineError, StrategyNotApplicableError, available_strategies
-from repro.sharding import HashPartitioner, ShardedDatabase
-from repro.workloads import GeneratorConfig, RelationSpec, generate_database
-
-SEED = int(os.environ.get("REPRO_STATS_SEED", "20260808"))
-CASES = int(os.environ.get("REPRO_STATS_CASES", "80"))
-
-
-# ----------------------------------------------------------------------
-# Random databases: tiny, skewed sizes so estimates have something to say
-# ----------------------------------------------------------------------
-def _build_database(rng: random.Random) -> Database:
-    config = GeneratorConfig(
-        relations=(
-            # Deliberately skewed row counts: with near-equal inputs the
-            # estimate-driven choices agree with the written order and
-            # nothing interesting is exercised.
-            RelationSpec("R", ("a", "b"), rng.randint(1, 6)),
-            RelationSpec("S", ("c", "d"), rng.randint(1, 6)),
-            RelationSpec("T", ("e",), rng.randint(1, 4)),
-        ),
-        domain_size=4,
-        null_rate=0.0,
-        seed=rng.randrange(1_000_000),
-    )
-    db = generate_database(config)
-    return _inject_k_nulls(db, rng.randint(0, 2), rng.random() < 0.5, rng)
-
-
-def _inject_k_nulls(db: Database, k: int, repeated: bool, rng: random.Random) -> Database:
-    if k == 0:
-        return db
-    rows_by_relation = {
-        name: list(relation.iter_rows_bag()) for name, relation in db.relations()
-    }
-    positions = [
-        (name, i, j)
-        for name, rows in rows_by_relation.items()
-        for i, row in enumerate(rows)
-        for j in range(len(row))
-    ]
-    chosen = rng.sample(positions, min(k, len(positions)))
-    shared = Null(f"s{rng.randrange(1_000_000)}")
-    for index, (name, i, j) in enumerate(chosen):
-        null = shared if repeated else Null(f"s{rng.randrange(1_000_000)}_{index}")
-        row = list(rows_by_relation[name][i])
-        row[j] = null
-        rows_by_relation[name][i] = tuple(row)
-    return Database(
-        {
-            name: Relation(db[name].attributes, rows)
-            for name, rows in rows_by_relation.items()
-        }
-    )
-
-
-# ----------------------------------------------------------------------
-# Random queries, biased towards join towers (where stats act)
-# ----------------------------------------------------------------------
-class _QueryGen:
-    def __init__(self, rng: random.Random, schema):
-        self.rng = rng
-        self.schema = schema
-        self._fresh = itertools.count()
-
-    def fresh_attr(self) -> str:
-        return f"x{next(self._fresh)}"
-
-    def condition(self, attrs):
-        rng = self.rng
-        left = Attr(rng.choice(attrs))
-        roll = rng.random()
-        if roll < 0.1:
-            right = left
-        elif len(attrs) > 1 and roll < 0.45:
-            right = Attr(rng.choice(attrs))
-        else:
-            right = Literal(f"v{rng.randrange(4)}")
-        condition = (Eq if rng.random() < 0.7 else Neq)(left, right)
-        if rng.random() < 0.3:
-            other = Attr(rng.choice(attrs))
-            condition = And(condition, Eq(other, Literal(f"v{rng.randrange(4)}")))
-        return condition
-
-    def with_arity(self, arity: int):
-        rng = self.rng
-        name = rng.choice(["R", "S"] if arity == 2 else ["R", "S", "T"])
-        plan = rb.relation(name)
-        attrs = list(plan.output_attributes(self.schema))
-        while len(attrs) < arity:
-            plan = rb.product(plan, rb.rename(rb.relation("T"), {"e": self.fresh_attr()}))
-            attrs = list(plan.output_attributes(self.schema))
-        if len(attrs) > arity:
-            keep = rng.sample(attrs, arity)
-            rng.shuffle(keep)
-            plan = rb.project(plan, keep)
-            attrs = keep
-        if rng.random() < 0.4:
-            plan = rb.select(plan, self.condition(attrs))
-        return plan
-
-    def tower(self):
-        """σ-stack over a ×-tower of 3 leaves — reorder-joins territory."""
-        rng = self.rng
-        leaves = []
-        for name in rng.sample(["R", "S", "T"], 3):
-            leaf = rb.relation(name)
-            renaming = {
-                a: self.fresh_attr()
-                for a in leaf.output_attributes(self.schema)
-            }
-            leaves.append(rb.rename(leaf, renaming))
-        plan = rb.product(rb.product(leaves[0], leaves[1]), leaves[2])
-        all_attrs = [list(l.output_attributes(self.schema)) for l in leaves]
-        # Connect leaf 2 to each of the first two (but not 0–1 directly):
-        # exactly the shape where written order materialises a cartesian
-        # product and the reorder rule should not.
-        for i in (0, 1):
-            plan = rb.select(
-                plan,
-                Eq(Attr(rng.choice(all_attrs[i])), Attr(rng.choice(all_attrs[2]))),
-            )
-        return plan
-
-    def query(self, depth: int):
-        rng = self.rng
-        if rng.random() < 0.2:
-            return self.tower()
-        if depth <= 0 or rng.random() < 0.2:
-            return rb.relation(rng.choice(["R", "S", "T"]))
-        child = self.query(depth - 1)
-        attrs = list(child.output_attributes(self.schema))
-        op = rng.choices(
-            ["select", "project", "rename", "product", "union", "difference",
-             "intersection", "division", "semijoin"],
-            weights=[20, 10, 6, 30, 10, 10, 6, 4, 4],
-        )[0]
-        if op == "select":
-            return rb.select(child, self.condition(attrs))
-        if op == "project":
-            keep = rng.sample(attrs, rng.randint(1, len(attrs)))
-            return rb.project(child, keep)
-        if op == "rename":
-            renamed = rng.sample(attrs, rng.randint(1, len(attrs)))
-            return rb.rename(child, {a: self.fresh_attr() for a in renamed})
-        if op == "product":
-            right = self.with_arity(rng.choice([1, 2]))
-            right_attrs = right.output_attributes(self.schema)
-            disjoint = rb.rename(right, {a: self.fresh_attr() for a in right_attrs})
-            plan = rb.product(child, disjoint)
-            if rng.random() < 0.75:
-                left_attr = rng.choice(attrs)
-                right_attr = rng.choice(
-                    list(disjoint.output_attributes(self.schema))
-                )
-                plan = rb.select(plan, Eq(Attr(left_attr), Attr(right_attr)))
-            return plan
-        if op in ("union", "difference", "intersection"):
-            right = self.with_arity(len(attrs))
-            build = {"union": rb.union, "difference": rb.difference,
-                     "intersection": rb.intersection}[op]
-            return build(child, right)
-        if op == "division" and len(attrs) >= 2:
-            divisor = self.with_arity(1)
-            divisor_attr = divisor.output_attributes(self.schema)[0]
-            return rb.division(child, rb.rename(divisor, {divisor_attr: attrs[-1]}))
-        if op == "semijoin":
-            right = self.with_arity(1)
-            right_attr = right.output_attributes(self.schema)[0]
-            return rb.semijoin(
-                child, rb.rename(right, {right_attr: rng.choice(attrs)})
-            )
-        return child
-
-
-# ----------------------------------------------------------------------
-# Result comparison: tuple-for-tuple identity
-# ----------------------------------------------------------------------
-def _assert_identical(plain, fast, label: str) -> None:
-    assert plain.relation.attributes == fast.relation.attributes, label
-    assert plain.relation.rows_bag() == fast.relation.rows_bag(), (
-        f"{label}: primary answers differ\nstats off: "
-        f"{plain.relation.sorted_rows()}\nstats on:  {fast.relation.sorted_rows()}"
-    )
-    for side in ("certain", "possible", "certainly_false"):
-        a, b = getattr(plain, side), getattr(fast, side)
-        assert (a is None) == (b is None), f"{label}: {side} presence differs"
-        if a is not None:
-            assert a.rows_set() == b.rows_set(), f"{label}: {side} rows differ"
-    plain_annotated = Counter((t.row, t.status, t.multiplicity) for t in plain.tuples)
-    fast_annotated = Counter((t.row, t.status, t.multiplicity) for t in fast.tuples)
-    assert plain_annotated == fast_annotated, f"{label}: annotations differ"
-
-
-def _evaluate_both(engine, query, db, label, **kwargs):
-    """(stats-off, stats-on) results, or None when both raise alike."""
-    try:
-        plain = engine.evaluate(
-            query, db, optimize=True, stats=False, use_cache=False, **kwargs
-        )
-    except (StrategyNotApplicableError, EngineError, ValueError, TypeError) as exc:
-        try:
-            engine.evaluate(
-                query, db, optimize=True, stats=True, use_cache=False, **kwargs
-            )
-        except type(exc):
-            return None
-        raise AssertionError(
-            f"{label}: stats-off raised {type(exc).__name__} but the "
-            "stats-on evaluation did not"
-        )
-    fast = engine.evaluate(
-        query, db, optimize=True, stats=True, use_cache=False, **kwargs
-    )
-    _assert_identical(plain, fast, label)
-    return plain, fast
-
-
-def _stats_changed_plan(query, db) -> bool:
-    try:
-        blind = optimize_plan(query, db.schema())
-        informed = optimize_plan(query, db.schema(), stats=Stats(db))
-    except (ValueError, KeyError, TypeError):
-        return False
-    return blind != informed
-
-
-def _run_case(engine: Engine, rng: random.Random, case: int) -> int:
-    db = _build_database(rng)
-    gen = _QueryGen(rng, db.schema())
-    query = gen.query(rng.randint(1, 3))
-    label_base = f"case {case} (seed {SEED})"
-
-    for strategy in available_strategies():
-        _evaluate_both(
-            engine, query, db, f"{label_base}, strategy {strategy}", strategy=strategy
-        )
-
-    # Bag semantics through the engine (naïve is the bag-capable algebra path).
-    _evaluate_both(
-        engine, query, db, f"{label_base}, naive (bag)", strategy="naive",
-        semantics="bag",
-    )
-
-    # Sharded evaluation: every fragment plans from its own statistics.
-    sharded = ShardedDatabase.from_database(
-        db, rng.choice([2, 3]), HashPartitioner()
-    )
-    for strategy in ("naive", "approx-guagliardo16"):
-        _evaluate_both(
-            engine, query, sharded, f"{label_base}, sharded {strategy}",
-            strategy=strategy,
-        )
-
-    # Raw evaluator, both condition modes, set and bag: identical relations.
-    for mode in ("naive", "3vl"):
-        for bag in (False, True):
-            label = f"{label_base}, evaluator ({mode}, {'bag' if bag else 'set'})"
-            try:
-                plain = Evaluator(
-                    condition_mode=mode, bag=bag, optimize=True
-                ).evaluate(query, db)
-            except (ValueError, TypeError, KeyError) as exc:
-                try:
-                    Evaluator(
-                        condition_mode=mode, bag=bag, optimize=True, stats=True
-                    ).evaluate(query, db)
-                except type(exc):
-                    continue
-                raise AssertionError(f"{label}: only stats-off raised")
-            fast = Evaluator(
-                condition_mode=mode, bag=bag, optimize=True, stats=True
-            ).evaluate(query, db)
-            assert plain == fast, (
-                f"{label}: relations differ\nstats off: {plain.sorted_rows()}"
-                f"\nstats on:  {fast.sorted_rows()}"
-            )
-    return int(_stats_changed_plan(query, db))
+from test_differential import slice_rows, sweep
 
 
 def test_stats_on_equals_stats_off_randomized():
-    engine = Engine()
-    plans_changed = 0
-    for case in range(CASES):
-        rng = random.Random(SEED * 1_000_003 + case)
-        plans_changed += _run_case(engine, rng, case)
-    # Statistics must actually flip plan choices (join order / build
-    # side) in a meaningful fraction of cases, or this harness is
-    # comparing a rewrite against itself and guards nothing.
-    assert plans_changed >= CASES // 10, plans_changed
+    """Identical answers, set and bag; statistics must change the plan
+    often enough that the comparison guards something."""
+    sweep(slice_rows(stats=(True,), optimize=(True,), semantics=("set", "bag")))
 
 
 def test_stats_respect_soundness_chain():
     """Q+ ⊆ cert⊥ ⊆ naive and cert⊥ ⊆ Q? with statistics on."""
-    engine = Engine()
-    checked = 0
-    for case in range(min(CASES, 30)):
-        rng = random.Random(SEED * 7_919 + case)
-        db = _build_database(rng)
-        gen = _QueryGen(rng, db.schema())
-        query = gen.query(rng.randint(1, 3))
-        results = {}
-        for strategy in ("exact-certain", "naive", "approx-guagliardo16",
-                         "approx-libkin16"):
-            try:
-                results[strategy] = engine.evaluate(
-                    query, db, strategy=strategy, optimize=True, stats=True,
-                    use_cache=False,
-                )
-            except (StrategyNotApplicableError, EngineError, ValueError, TypeError):
-                continue
-        if "exact-certain" not in results:
-            continue
-        checked += 1
-        cert = results["exact-certain"].relation.rows_set()
-        if "approx-guagliardo16" in results:
-            guag = results["approx-guagliardo16"]
-            assert guag.certain.rows_set() <= cert, f"case {case}: Q+ ⊄ cert"
-            assert cert <= guag.possible.rows_set(), f"case {case}: cert ⊄ Q?"
-        if "approx-libkin16" in results:
-            assert results["approx-libkin16"].certain.rows_set() <= cert, (
-                f"case {case}: Qt ⊄ cert"
-            )
-        if "naive" in results:
-            assert cert <= results["naive"].relation.rows_set(), (
-                f"case {case}: cert ⊄ naive"
-            )
-    assert checked >= 8, checked
+    sweep(slice_rows(stats=(True,), optimize=(True,)))
