@@ -41,7 +41,9 @@ Layers:
 * :mod:`repro.engine.drive` — the sync and async drivers of those steps;
 * :mod:`repro.engine.workers` — the worker protocol: one picklable
   :class:`Task`, one entry point :func:`run_task` and one
-  :class:`WorkerPool` for shard fan-out and async dispatch;
+  :class:`WorkerPool` for shard fan-out, async dispatch and the server
+  (its ``"process"`` kind is :mod:`repro.engine.process_pool`, whose
+  cancel terminates the running worker);
 * :mod:`repro.engine.aio` — :class:`AsyncEngine` and
   :class:`AsyncSession`, which drive the same pipeline from an event
   loop with concurrent batch/compare fan-out over a worker pool.

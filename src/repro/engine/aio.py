@@ -21,12 +21,12 @@ differs only in how it answers the steps:
   :class:`~repro.engine.workers.Task` to a
   :class:`~repro.engine.workers.WorkerPool` — the same protocol and pool
   the shard fan-out uses.  ``pool="process"`` (the default) gives true
-  parallelism across cores; ``"thread"`` keeps everything in-process;
-  ``"serial"`` computes inline on the event loop (deterministic
-  debugging); an existing ``concurrent.futures.Executor`` instance is
-  used as-is and never shut down by the engine.  Waits are bounded by
-  the call's deadline and transient failures are retried by the same
-  loop that fans out shards.
+  parallelism across cores and cancels into the worker process;
+  ``"thread"`` keeps everything in-process; ``"serial"`` computes
+  inline on the event loop (deterministic debugging).  A
+  ``WorkerPool`` instance passed in is borrowed and never closed by
+  the engine.  Waits are bounded by the call's deadline and transient
+  failures are retried by the same loop that fans out shards.
 * **Bounded fan-out.**  ``max_concurrency`` caps in-flight dispatches
   with an :class:`asyncio.Semaphore`, held only around a hop onto
   workers (never while awaiting another engine call), so nested paths —
@@ -38,11 +38,9 @@ differs only in how it answers the steps:
   cancelling one awaiter (the leader included) leaves the computation
   running for the remaining awaiters, while cancelling the *last*
   awaiter cancels the shared computation itself — the cancellation
-  reaches the dispatch future (and, with an executor whose futures
-  support running-cancel such as
-  :class:`repro.server.pool.CancellableProcessExecutor`, the worker
-  process), and the abandoned result is **never** inserted into the
-  result cache.
+  reaches the dispatch future (and, on the process pool, terminates the
+  worker process running it), and the abandoned result is **never**
+  inserted into the result cache.
 
 Custom strategies registered at runtime exist only in the parent
 process; with the default ``fork`` start method on Linux they are
@@ -65,7 +63,7 @@ from .drive import Compute, Dispatch, answer_async, drive_async, run_tasks
 from .errors import EngineError, StrategyNotApplicableError
 from .result import QueryResult
 from .spec import ENGINE_KEYWORDS, check_settings
-from .workers import resolve_pool
+from .workers import WorkerPool
 
 __all__ = ["AsyncEngine", "AsyncSession"]
 
@@ -108,7 +106,10 @@ class AsyncEngine:
         **settings: Any,
     ):
         check_settings("AsyncEngine", settings)
-        self._pool = resolve_pool(pool, max_workers)
+        # A passed-in WorkerPool is borrowed (the server shares one
+        # across tenants); a pool built from a kind name is ours.
+        self._owns_pool = not isinstance(pool, WorkerPool)
+        self._pool = WorkerPool(pool, max_workers) if self._owns_pool else pool
         if max_concurrency is not None and max_concurrency < 1:
             raise EngineError("max_concurrency must be a positive integer or None")
         self._owns_engine = engine is None
@@ -159,8 +160,9 @@ class AsyncEngine:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the pool's workers and, if owned, close the inner engine."""
-        self._pool.close()
+        """Release the owned pool's workers and close the owned inner engine."""
+        if self._owns_pool:
+            self._pool.close()
         if self._owns_engine:
             self._engine.close()
 

@@ -47,7 +47,7 @@ from .planner import AUTO, PlanDecision, choose_strategy, default_exact_budget
 from .registry import EvaluationStrategy, available_strategies, get_strategy
 from .result import QueryResult
 from .spec import CALL_FIELDS, ENGINE_KEYWORDS, CallSpec, check_settings
-from .workers import Task, TaskResult, WorkerPool, resolve_pool, run_task
+from .workers import Task, TaskResult, WorkerPool, run_task
 
 __all__ = [
     "Engine",
@@ -535,12 +535,13 @@ class Engine:
         )
 
     def _shard_executor(self, spec: Any) -> WorkerPool:
-        """Resolve (and memoise) the shard worker pool for this call."""
+        """The shard worker pool for this call: a passed-in pool is
+        borrowed; one built from a kind name is memoised and owned."""
         if isinstance(spec, WorkerPool):
             return spec
         pool = self._executors.get(spec)
         if pool is None:
-            pool = self._executors[spec] = resolve_pool(spec)
+            pool = self._executors[spec] = WorkerPool(spec)
         return pool
 
     # -- batch and compare: one call builder each ------------------------

@@ -117,15 +117,6 @@ def completed_future(fn: Callable[..., Any], *args: Any) -> concurrent.futures.F
 # ----------------------------------------------------------------------
 # The resilient task loop (shard fan-out and async engine dispatch)
 # ----------------------------------------------------------------------
-_BROKEN_POOL_NAMES = frozenset(
-    {"BrokenProcessPool", "BrokenThreadPool", "BrokenExecutor", "BrokenWorkerError"}
-)
-
-
-def _is_broken_pool(exc: BaseException) -> bool:
-    return any(cls.__name__ in _BROKEN_POOL_NAMES for cls in type(exc).__mro__)
-
-
 def _retry_admissible(
     exc: BaseException,
     attempts: int,
@@ -159,11 +150,12 @@ def run_tasks(
     propagates; ``"degrade"`` retries, then records the task as failed
     and carries on.  ``deadline`` bounds the whole run — expiry raises
     :class:`DeadlineExceeded` even while tasks are still running.
-    However the loop exits, every task still pending is cancelled.
+    However the loop exits, every task still pending is cancelled — on
+    the process pool that terminates a sibling already running.
 
     ``executor`` is a :class:`~repro.engine.workers.WorkerPool` (or
-    anything with its ``submit``/``run``/``reset``): ``reset()`` revives
-    a broken pool before a retry is resubmitted.  Each
+    anything with its ``submit``/``run``).  A dead worker fails only its
+    own task, which is retried like any transient failure.  Each
     :class:`~repro.engine.workers.TaskResult` that carries a worker span
     tree is grafted under the span live around the fan-out.
     """
@@ -202,8 +194,6 @@ def run_tasks(
                             pause = min(pause, deadline.remaining())
                         if pause > 0:
                             yield Sleep(pause)
-                        if _is_broken_pool(exc):
-                            executor.reset()
                         pending[(yield Submit(executor, tasks[index]))] = index
                         continue
                     if on_error == "degrade":

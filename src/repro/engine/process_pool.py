@@ -1,31 +1,32 @@
-"""A process pool whose in-flight tasks can actually be cancelled.
+"""The ``"process"`` worker pool: in-flight tasks can actually be cancelled.
 
-``concurrent.futures.ProcessPoolExecutor`` cannot cancel a running
-task: ``Future.cancel()`` returns ``False`` once a worker has picked the
-task up, so a cancelled client request leaves the worker grinding
-through an evaluation nobody wants — on a saturated server that is a
-stolen execution slot, not a cosmetic leak.
+The standard library's process pool cannot cancel a running task:
+``Future.cancel()`` returns ``False`` once a worker has picked the task
+up, so a failed sibling shard or a cancelled request leaves the
+worker grinding through an evaluation nobody wants — for the coNP-hard
+exact certain answers that is a stolen core for a long time.  One dead
+worker also breaks that whole pool, failing every sibling task.
 
-:class:`CancellableProcessExecutor` closes that gap with a deliberately
+:class:`CancellableProcessExecutor` closes both gaps with a deliberately
 different state machine: futures are never moved to RUNNING, so the
 *base* ``cancel()`` transition (PENDING → CANCELLED, waiters notified)
 always succeeds, and the override additionally **terminates the worker
 process** that was executing the task, then respawns it for the next
-one.  Combined with asyncio's executor-future chaining
-(``loop.run_in_executor`` propagates task cancellation into
-``Future.cancel()``), cancelling an ``await`` inside
-:class:`~repro.engine.aio.AsyncEngine` reaches all the way into the
-worker process — the behaviour :mod:`repro.server` needs for client
-disconnects and cancel RPCs.
+one.  :func:`~repro.engine.drive.run_tasks` cancels the siblings of a
+failed task this way, and asyncio's executor-future chaining
+(``asyncio.wrap_future`` propagates task cancellation into
+``Future.cancel()``) carries a cancelled ``await`` inside
+:class:`~repro.engine.aio.AsyncEngine` all the way into the worker.
 
 Design: one dispatcher *thread* per worker *process*, joined by a shared
 deque of jobs.  Each dispatcher sends one pickled ``(fn, args, kwargs)``
 triple down its pipe, blocks on the reply, and resolves the future.  A
 terminated worker surfaces as ``EOFError`` on the pipe; the dispatcher
 respawns the process and moves on (expected after a cancel, a
-``BrokenWorkerError`` on the future otherwise).  Workers are forked
-lazily on first submit, so strategies registered at runtime are
-inherited on platforms whose default start method is ``fork``.
+retryable :class:`BrokenWorkerError` on that one future otherwise).
+Workers are forked lazily on first submit, so strategies registered at
+runtime are inherited on platforms whose default start method is
+``fork``.
 """
 
 from __future__ import annotations
@@ -201,6 +202,10 @@ class _Dispatcher:
             self._retire()
             self._spawn()
         try:
+            if job.future.cancelled():
+                # Cancelled while the worker was being spawned, when
+                # there was no process yet for the cancel to terminate.
+                return
             self.conn.send((job.fn, job.args, job.kwargs))
             ok, payload = self.conn.recv()
         except (EOFError, OSError, BrokenPipeError):
@@ -236,17 +241,16 @@ class _Dispatcher:
 class CancellableProcessExecutor(concurrent.futures.Executor):
     """A ``concurrent.futures.Executor`` with running-task cancellation.
 
-    Drop-in for the ``pool=`` argument of
-    :class:`~repro.engine.aio.AsyncEngine`; the extra guarantee is that
-    ``future.cancel()`` succeeds (and kills the worker) even after the
-    task started.  ``max_workers`` defaults to the CPU count.
+    The executor behind ``WorkerPool("process")``; the extra guarantee
+    is that ``future.cancel()`` succeeds (and kills the worker) even
+    after the task started.  ``max_workers`` defaults to the CPU count.
     """
 
-    def __init__(self, max_workers: int | None = None, mp_context=None):
+    def __init__(self, max_workers: int | None = None):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be a positive integer or None")
         self._max_workers = max_workers or os.cpu_count() or 1
-        self._ctx = mp_context or multiprocessing.get_context()
+        self._ctx = multiprocessing.get_context()
         self._lock = threading.Lock()
         self._have_work = threading.Condition(self._lock)
         self._queue: collections.deque[_Job] = collections.deque()
@@ -295,17 +299,10 @@ class CancellableProcessExecutor(concurrent.futures.Executor):
         if wait:
             for dispatcher in dispatchers:
                 dispatcher.thread.join()
-        else:
-            # Dispatchers drain the remaining queue; just unblock them.
-            pass
 
     # ------------------------------------------------------------------
-    # Introspection (for tests and /stats)
+    # Introspection (for tests)
     # ------------------------------------------------------------------
-    @property
-    def max_workers(self) -> int:
-        return self._max_workers
-
     def worker_pids(self) -> list[int]:
         """PIDs of the currently live worker processes."""
         with self._lock:
@@ -314,7 +311,3 @@ class CancellableProcessExecutor(concurrent.futures.Executor):
                 for d in self._dispatchers
                 if d.process is not None and d.process.is_alive()
             ]
-
-    def queued(self) -> int:
-        with self._lock:
-            return len(self._queue)

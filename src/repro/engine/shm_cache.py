@@ -85,7 +85,7 @@ class SharedMemoryCacheBackend(CacheBackend):
         # prefix ≤ 8 + "-" + 16 digest hex chars.
         self.name = cleaned[:8]
         self.max_entries = max_entries
-        self._owned: OrderedDict[str, shared_memory.SharedMemory] = OrderedDict()
+        self._created: OrderedDict[str, shared_memory.SharedMemory] = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._lifetime_hits = 0
@@ -134,11 +134,11 @@ class SharedMemoryCacheBackend(CacheBackend):
                 self._misses += 1
             return None
         with self._lock:
-            segment = self._owned.get(name)
+            segment = self._created.get(name)
             if segment is not None:
                 value = self._read(segment)
                 if value is not None:
-                    self._owned.move_to_end(name)
+                    self._created.move_to_end(name)
         if value is None and not self._closed:
             # Not ours (or torn): attach by name — another process with
             # the same prefix may have written it.  The attach itself can
@@ -181,8 +181,8 @@ class SharedMemoryCacheBackend(CacheBackend):
         except (pickle.PickleError, TypeError, AttributeError):
             return  # unpicklable results simply stay uncached
         with self._lock:
-            if name in self._owned:
-                self._owned.move_to_end(name)
+            if name in self._created:
+                self._created.move_to_end(name)
                 return  # content-keyed: same key ⇒ same value
         try:
             segment = shared_memory.SharedMemory(
@@ -201,9 +201,9 @@ class SharedMemoryCacheBackend(CacheBackend):
             if self._closed:
                 evicted.append(segment)
             else:
-                self._owned[name] = segment
-                while len(self._owned) > self.max_entries:
-                    _, stale = self._owned.popitem(last=False)
+                self._created[name] = segment
+                while len(self._created) > self.max_entries:
+                    _, stale = self._created.popitem(last=False)
                     evicted.append(stale)
         for stale in evicted:
             self._unlink(stale)
@@ -220,8 +220,8 @@ class SharedMemoryCacheBackend(CacheBackend):
 
     def clear(self) -> None:
         with self._lock:
-            owned = list(self._owned.values())
-            self._owned.clear()
+            owned = list(self._created.values())
+            self._created.clear()
             self._lifetime_hits += self._hits
             self._lifetime_misses += self._misses
             self._hits = 0
@@ -235,18 +235,18 @@ class SharedMemoryCacheBackend(CacheBackend):
             if self._closed:
                 return
             self._closed = True
-            owned = list(self._owned.values())
-            self._owned.clear()
+            owned = list(self._created.values())
+            self._created.clear()
         for segment in owned:
             self._unlink(segment)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._owned)
+            return len(self._created)
 
     def _stats(self, hits: int, misses: int) -> CacheStats:
         return CacheStats(
-            hits=hits, misses=misses, size=len(self._owned), max_size=self.max_entries
+            hits=hits, misses=misses, size=len(self._created), max_size=self.max_entries
         )
 
     @property

@@ -68,8 +68,8 @@ class CallSpec:
     #: Shard count: ``None`` = the engine default, ``0`` = monolithic.
     shards: int | None = None
     #: Shard worker pool: a kind name (``"serial"``, ``"thread"``,
-    #: ``"process"``) or a :class:`~repro.engine.workers.WorkerPool`
-    #: (see :func:`~repro.engine.workers.resolve_pool`).
+    #: ``"process"``; the engine owns the pool it builds) or a borrowed
+    #: :class:`~repro.engine.workers.WorkerPool`.
     executor: Any = "serial"
     #: :class:`~repro.sharding.Partitioner` for on-the-fly sharding.
     partitioner: Any = None

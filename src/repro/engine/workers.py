@@ -14,10 +14,12 @@ inline — or one shard of a sharded query
 * :func:`run_task` — the one worker entry point, returning a
   :class:`TaskResult` (the strategy outcome, the worker-side wall time
   and, when traced, the worker's exported span tree).
-* :class:`WorkerPool` — runs tasks serially, on a thread pool or on a
-  process pool, behind the ``submit``/``run``/``reset``/``close``/
-  ``kind`` surface :func:`~repro.engine.drive.run_tasks` drives.
-  :func:`resolve_pool` turns a ``pool=``/``executor=`` value into one.
+* :class:`WorkerPool` — runs tasks serially, on a thread pool or on
+  the cancellable process pool
+  (:mod:`repro.engine.process_pool`), behind the ``submit``/``run``/
+  ``close``/``kind`` surface :func:`~repro.engine.drive.run_tasks`
+  drives.  It is the one pool of the shard fan-out, the async engine
+  and the server.
 
 Custom strategies registered at runtime exist only in the parent
 process; with the default ``fork`` start method on Linux they are
@@ -39,6 +41,7 @@ from ..resilience import Deadline, deadline_scope, fault_point
 from .drive import completed_future
 from .errors import EngineError
 from .frontend import NormalizedQuery
+from .process_pool import CancellableProcessExecutor
 from .registry import StrategyOutcome, get_strategy
 
 __all__ = [
@@ -47,7 +50,6 @@ __all__ = [
     "TaskResult",
     "WorkerPool",
     "pool_kind",
-    "resolve_pool",
     "run_task",
 ]
 
@@ -138,39 +140,31 @@ def run_task(task: Task) -> TaskResult:
 _EXECUTORS = {
     "serial": None,
     "thread": concurrent.futures.ThreadPoolExecutor,
-    "process": concurrent.futures.ProcessPoolExecutor,
+    "process": CancellableProcessExecutor,
 }
 #: Accepted plural spellings of the kinds.
 _SPELLINGS = {"threads": "thread", "processes": "process"}
 POOL_KINDS = tuple(_EXECUTORS)
 
 
-def _unknown_pool(spec: Any) -> EngineError:
-    return EngineError(
-        f"unknown worker pool {spec!r}; expected one of {POOL_KINDS}, "
-        "a concurrent.futures.Executor or a WorkerPool instance"
-    )
-
-
-def pool_kind(spec: Any, *, names_only: bool = False) -> str:
+def pool_kind(spec: Any) -> str:
     """The kind of pool ``spec`` names, or :class:`EngineError`.
 
-    ``spec`` is a kind name, ``None`` (serial), a :class:`WorkerPool`
-    (its ``kind``) or a ``concurrent.futures.Executor`` (its class
-    name); ``names_only`` accepts kind names alone.
+    ``spec`` is a kind name, ``None`` (serial) or a :class:`WorkerPool`
+    (its ``kind``).
     """
+    if spec is None:
+        return "serial"
+    if isinstance(spec, WorkerPool):
+        return spec.kind
     if isinstance(spec, str):
         kind = _SPELLINGS.get(spec, spec)
         if kind in _EXECUTORS:
             return kind
-    elif not names_only:
-        if spec is None:
-            return "serial"
-        if isinstance(spec, WorkerPool):
-            return spec.kind
-        if isinstance(spec, concurrent.futures.Executor):
-            return type(spec).__name__
-    raise _unknown_pool(spec)
+    raise EngineError(
+        f"unknown worker pool {spec!r}; expected one of {POOL_KINDS} "
+        "or a WorkerPool instance"
+    )
 
 
 class WorkerPool:
@@ -178,27 +172,24 @@ class WorkerPool:
 
     ``kind`` is ``"serial"`` (compute in the calling thread; ``submit``
     hands back an already-done future), ``"thread"`` or ``"process"``
-    (a lazily created ``concurrent.futures`` pool of ``max_workers``,
-    default the CPU count).  Pass an existing
-    ``concurrent.futures.Executor`` instead to use it as-is: its class
-    name becomes the kind, and the pool never shuts it down.
+    (a lazily created pool of ``max_workers``, default the CPU count).
+    The process pool cancels running tasks by terminating their worker,
+    and a worker that dies fails only its own task (a retryable
+    :class:`~repro.engine.process_pool.BrokenWorkerError`); no kind
+    breaks as a whole.
 
-    ``close`` releases the workers (a later ``submit`` spawns fresh
-    ones); ``reset`` discards a broken pool without waiting — the retry
-    path calls it after ``BrokenProcessPool`` and friends, since a
-    crashed worker breaks the whole pool.  Subclasses overriding
+    Ownership: whoever builds a pool from a kind name closes it; a
+    ``WorkerPool`` passed in as ``pool=``/``executor=`` is borrowed and
+    never closed by the engine.  ``close`` releases the workers (a
+    later ``submit`` spawns fresh ones).  Subclasses overriding
     ``submit``/``run`` need not call ``__init__``.
     """
 
     kind: str = "serial"
     max_workers: int | None = None
     _executor: concurrent.futures.Executor | None = None
-    _owned: bool = True
 
     def __init__(self, kind: Any = "serial", max_workers: int | None = None):
-        if isinstance(kind, concurrent.futures.Executor):
-            self._executor = kind
-            self._owned = False
         self.kind = pool_kind(kind)
         self.max_workers = max_workers
 
@@ -222,30 +213,11 @@ class WorkerPool:
             return [run_task(task) for task in tasks]
         return list(self._pool().map(run_task, tasks))
 
-    def reset(self) -> None:
-        """Discard a (possibly broken) owned pool so the next submit
-        gets a fresh one."""
-        if self._owned and self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-
     def close(self) -> None:
-        """Shut down the owned pool's workers (a borrowed executor is
-        left running)."""
-        if self._owned and self._executor is not None:
-            self._executor.shutdown()
+        """Shut down the workers, cancelling tasks not yet started."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.kind!r}, max_workers={self.max_workers})"
-
-
-def resolve_pool(spec: Any, max_workers: int | None = None) -> WorkerPool:
-    """Turn a ``pool=``/``executor=`` value into a :class:`WorkerPool`.
-
-    A :class:`WorkerPool` is returned as-is; a kind name, ``None``
-    (serial) or a ``concurrent.futures.Executor`` gets a new pool.
-    """
-    if isinstance(spec, WorkerPool):
-        return spec
-    return WorkerPool(spec, max_workers)

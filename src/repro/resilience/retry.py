@@ -10,9 +10,9 @@ it:
   ``(seed, attempt)`` through a private :class:`random.Random`, so the
   same policy produces the same delay sequence every run.
 * **No imports from the rest of ``repro``.**  Transient error classes
-  live in layers that import *this* package
-  (:class:`~repro.server.pool.BrokenWorkerError`, the executors'
-  ``BrokenProcessPool``), so the retryable set matches exception types
+  live in layers that import *this* package (the process pool's
+  :class:`~repro.engine.process_pool.BrokenWorkerError`), so the
+  retryable set matches exception types
   *by name along the MRO* as well as by class — cycle-free and
   pickle-friendly.
 
@@ -39,9 +39,6 @@ __all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY", "resolve_retry"]
 #: here — retrying a deterministic failure only wastes the budget.
 DEFAULT_TRANSIENT_NAMES: tuple[str, ...] = (
     "BrokenWorkerError",
-    "BrokenProcessPool",
-    "BrokenThreadPool",
-    "BrokenExecutor",
     "ConnectionError",
     "ConnectionResetError",
     "RemoteDisconnected",

@@ -11,13 +11,9 @@ architecture, :mod:`repro.server.client` for the matching client, and
 
 from .client import ServerBusyError, ServerClient, ServerRequestError
 from ..obs.metrics import RequestRecord, ServerMetrics, percentile
-from .pool import BrokenWorkerError, CancellableFuture, CancellableProcessExecutor
 from .service import DEFAULT_TENANT, EvalServer, ServerConfig, serve
 
 __all__ = [
-    "BrokenWorkerError",
-    "CancellableFuture",
-    "CancellableProcessExecutor",
     "DEFAULT_TENANT",
     "EvalServer",
     "RequestRecord",

@@ -3,7 +3,8 @@
 ``EvalServer`` turns the repo's engine stack into a long-running,
 multi-client service (stdlib only — ``http.server`` threads in front of
 one asyncio event loop hosting per-tenant
-:class:`~repro.engine.aio.AsyncEngine` twins):
+:class:`~repro.engine.aio.AsyncEngine` twins over one shared
+:class:`~repro.engine.workers.WorkerPool`):
 
 * **Tenant isolation.**  Every tenant gets a private
   :class:`~repro.engine.cache.NamespacedCacheBackend` slice of one
@@ -26,9 +27,8 @@ one asyncio event loop hosting per-tenant
   a failed chunk write while streaming) cancels the request's asyncio
   task.  Cancellation unwinds the engine's single-flight group (see
   :mod:`repro.engine.aio`), so the abandoned result is never cached,
-  and — with the ``process`` pool's
-  :class:`~repro.server.pool.CancellableProcessExecutor` — terminates
-  the worker process actually computing it.
+  and — with the ``process`` pool — terminates the worker process
+  actually computing it.
 * **Metrics.**  ``GET /stats`` aggregates per-request queue wait,
   execution time, cache hit rate and the strategy that ran (the
   planner's choice for ``strategy="auto"``), plus admission and cache
@@ -72,11 +72,10 @@ from ..engine import (
     resolve_cache_backend,
 )
 from ..engine.cache import CacheBackend, NamespacedCacheBackend
-from ..engine.workers import pool_kind
+from ..engine.workers import WorkerPool
 from ..resilience import DeadlineExceeded, breaker_snapshots
 from ..obs.metrics import RequestRecord, ServerMetrics
 from ..obs.metrics import snapshot as obs_snapshot
-from .pool import CancellableProcessExecutor
 from .wire import decode_database, encode_result, json_safe
 
 __all__ = ["ServerConfig", "EvalServer", "serve"]
@@ -100,11 +99,11 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0 = pick a free port; read it back from server.address
-    #: Worker pool for strategy execution: ``"process"`` uses the
-    #: cancellable pool (cancellation terminates workers), ``"thread"``
-    #: keeps evaluation in-process (cancellation abandons the result but
-    #: the thread runs on), ``"serial"`` computes on the event loop
-    #: (debugging only — blocks all concurrency).
+    #: Kind of the one worker pool every tenant shares: ``"process"``
+    #: (cancellation terminates the worker), ``"thread"`` (keeps
+    #: evaluation in-process; cancellation abandons the result but the
+    #: thread runs on), ``"serial"`` (computes on the event loop —
+    #: debugging only, blocks all concurrency).
     pool: str = "thread"
     max_workers: int = 2
     #: Concurrent executions; additional admitted requests queue.
@@ -186,7 +185,7 @@ class _Tenant:
             default_semantics=server.config.default_semantics,
             backend=server.config.backend,
         )
-        self.aengine = AsyncEngine(engine=self.engine, pool=server._engine_pool())
+        self.aengine = AsyncEngine(engine=self.engine, pool=server._pool)
 
 
 class _AdmissionGate:
@@ -222,7 +221,6 @@ class EvalServer:
             config = ServerConfig(**overrides)
         elif overrides:
             raise TypeError("pass either a ServerConfig or keyword overrides")
-        kind = pool_kind(config.pool, names_only=True)
         if config.max_concurrency < 1:
             raise EngineError("max_concurrency must be a positive integer")
         if config.queue_limit < 0:
@@ -233,14 +231,7 @@ class EvalServer:
         self._backend = resolve_cache_backend(
             config.cache, cache_size=config.cache_size
         )
-        self._pool: Any = None
-        if kind == "process":
-            self._pool = CancellableProcessExecutor(max_workers=config.max_workers)
-        elif kind == "thread":
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=config.max_workers,
-                thread_name_prefix="repro-server-worker",
-            )
+        self._pool = WorkerPool(config.pool, config.max_workers)
         self._admission = _AdmissionGate(config.max_concurrency + config.queue_limit)
         self._exec_slots = asyncio.Semaphore(config.max_concurrency)
         self._tenants: dict[str, _Tenant] = {}
@@ -317,11 +308,7 @@ class EvalServer:
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._loop_thread.join(timeout=10.0)
         self._loop.close()
-        if self._pool is not None:
-            if isinstance(self._pool, CancellableProcessExecutor):
-                self._pool.shutdown(wait=True, cancel_futures=True)
-            else:
-                self._pool.shutdown(wait=True)
+        self._pool.close()
         if self._owns_backend:
             close = getattr(self._backend, "close", None)
             if callable(close):
@@ -337,9 +324,6 @@ class EvalServer:
     # ------------------------------------------------------------------
     # Tenants and datasets
     # ------------------------------------------------------------------
-    def _engine_pool(self) -> Any:
-        return self._pool if self._pool is not None else "serial"
-
     def _tenant(self, name: str) -> _Tenant:
         with self._tenants_lock:
             tenant = self._tenants.get(name)
@@ -581,6 +565,9 @@ def _message(exc: BaseException) -> str:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes: with Nagle on, the
+    # body waits for the client's delayed ACK (~40 ms per response).
+    disable_nagle_algorithm = True
     server: _HTTPServer
 
     # ------------------------------------------------------------------

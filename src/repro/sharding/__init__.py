@@ -41,7 +41,7 @@ Layers:
 
 from functools import partial
 
-from ..engine.workers import WorkerPool, resolve_pool
+from ..engine.workers import WorkerPool
 from .database import SHARD_SUFFIX, ShardedDatabase, shard_relation_name
 from .evaluate import SHARD_MERGES, evaluate_sharded, register_shard_merge
 from .partition import HashPartitioner, Partitioner, RoundRobinPartitioner
@@ -54,7 +54,6 @@ ShardExecutor = WorkerPool
 SerialShardExecutor = partial(WorkerPool, "serial")
 ThreadShardExecutor = partial(WorkerPool, "thread")
 ProcessShardExecutor = partial(WorkerPool, "process")
-resolve_executor = resolve_pool
 
 __all__ = [
     "SHARD_SUFFIX",
@@ -70,7 +69,6 @@ __all__ = [
     "SerialShardExecutor",
     "ThreadShardExecutor",
     "ProcessShardExecutor",
-    "resolve_executor",
     "SHARD_MERGES",
     "register_shard_merge",
     "evaluate_sharded",

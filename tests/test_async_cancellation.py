@@ -9,8 +9,9 @@ The contract under test (see :mod:`repro.engine.aio`):
   *leader* leaves the shared computation running for followers (computed
   exactly once), cancelling *every* awaiter abandons it (recomputed on
   the next call), and nobody ever hangs;
-* :class:`repro.server.pool.CancellableProcessExecutor` cancels running
-  tasks for real — the worker process is terminated and respawned.
+* :class:`repro.engine.process_pool.CancellableProcessExecutor` (the
+  ``"process"`` worker pool) cancels running tasks for real — the worker
+  process is terminated and respawned.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.engine.registry import (
     register_strategy,
     unregister_strategy,
 )
-from repro.server.pool import BrokenWorkerError, CancellableProcessExecutor
+from repro.engine.process_pool import BrokenWorkerError, CancellableProcessExecutor
 
 
 @pytest.fixture
@@ -274,30 +275,43 @@ def test_pool_shutdown_rejects_new_work():
     assert multiprocessing.active_children() == []
 
 
+def _worker_pids(engine: AsyncEngine) -> list[int]:
+    executor = engine._pool._executor
+    return executor.worker_pids() if executor is not None else []
+
+
 def test_async_engine_cancellation_reaches_worker_process(tiny_db):
-    """End to end: cancelling the await terminates the worker process."""
-    pool = CancellableProcessExecutor(max_workers=1)
+    """End to end: cancelling the await terminates the worker process of
+    the default ``"process"`` pool, which respawns it for the next call."""
+
+    @register_strategy("test-cancel-sleepy")
+    class _SleepyStrategy(EvaluationStrategy):
+        capabilities = StrategyCapabilities(semantics=("set",))
+
+        def run(self, query, database, *, semantics, **options):
+            time.sleep(30)
+            return StrategyOutcome(answer=Relation(("a",), [(1,)]))
+
+    async def main():
+        async with AsyncEngine(pool="process", max_workers=1) as engine:
+            task = asyncio.create_task(
+                engine.evaluate("SELECT a FROM R", tiny_db, strategy="test-cancel-sleepy")
+            )
+            await _wait_for(lambda: _worker_pids(engine), timeout=10)
+            await asyncio.sleep(0.3)  # let the worker pick the task up
+            before = _worker_pids(engine)
+            start = time.monotonic()
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            # A fresh worker serves the next call promptly.
+            result = await engine.evaluate("SELECT a FROM R", tiny_db, strategy="naive")
+            assert result.relation.sorted_rows() == [(1,), (2,)]
+            assert time.monotonic() - start < 20  # did not wait out the sleep
+            assert _worker_pids(engine) != before
+
     try:
-
-        async def main():
-            async with AsyncEngine(pool=pool) as engine:
-                task = asyncio.create_task(
-                    engine.evaluate(
-                        "SELECT a FROM R",
-                        tiny_db,
-                        strategy="naive",
-                        # a throwaway option to salt the cache key
-                        use_cache=False,
-                    )
-                )
-                await asyncio.sleep(0)  # let it dispatch
-                task.cancel()
-                with pytest.raises(asyncio.CancelledError):
-                    await task
-
         asyncio.run(main())
-        # The pool is still usable afterwards.
-        assert pool.submit(divmod, 10, 3).result(timeout=30) == (3, 1)
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        unregister_strategy("test-cancel-sleepy")
     assert multiprocessing.active_children() == []

@@ -28,6 +28,7 @@ from repro.engine import (
     StrategyCapabilities,
     StrategyNotApplicableError,
     StrategyOutcome,
+    WorkerPool,
     register_strategy,
     unregister_strategy,
 )
@@ -82,7 +83,7 @@ def test_async_engine_rejects_bad_configuration(tiny_db):
         messages.add(str(excinfo.value))
     assert messages == {
         "unknown worker pool 'quantum'; expected one of ('serial', 'thread', "
-        "'process'), a concurrent.futures.Executor or a WorkerPool instance"
+        "'process') or a WorkerPool instance"
     }
     with pytest.raises(EngineError, match="worker pool"):
         Engine().evaluate("SELECT a FROM R", tiny_db, executor="quantum")
@@ -367,6 +368,20 @@ def test_async_engine_closes_owned_engine_and_pool(tiny_db):
     engine = asyncio.run(main())
     assert recording.closed
     assert engine._pool._executor is None, "the owned worker pool must be shut down"
+
+
+def test_async_engine_never_closes_a_borrowed_pool(tiny_db):
+    pool = WorkerPool("thread", 1)
+
+    async def main():
+        async with AsyncEngine(pool=pool) as engine:
+            await engine.evaluate("SELECT a FROM R", tiny_db, strategy="naive")
+
+    try:
+        asyncio.run(main())
+        assert pool._executor is not None, "a borrowed pool must survive aclose"
+    finally:
+        pool.close()
 
 
 def test_async_engine_never_closes_a_shared_sync_engine(tiny_db):

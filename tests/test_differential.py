@@ -3,9 +3,10 @@
 Each case draws a random tiny database and plan (:mod:`differential`)
 and takes one row of :data:`ROWS`, a fixed pairwise covering array over
 the axis table :data:`AXES`.  Every applicable call — each registered
-strategy under set semantics, plus naïve under bags and ``auto`` when
-the row asks for them — is evaluated twice: under the reference (the
-first value of every axis: monolithic, sync, unoptimized, stats off,
+strategy under set semantics, plus naïve under bags when the row asks
+for them and ``auto`` under set semantics (and bags) when the row asks
+for it — is evaluated twice: under the reference (the first value of
+every axis: monolithic, serial, sync, unoptimized, stats off,
 interpreter, untraced, no faults) and under the row.  The two must
 refuse alike or answer identically, tuple for tuple and annotation for
 annotation, and both sides must satisfy the soundness chain.  A
@@ -48,7 +49,7 @@ from repro.algebra import EquiJoin, walk
 from repro.algebra.evaluator import Evaluator
 from repro.algebra.optimize import optimize_plan
 from repro.algebra.stats import Stats
-from repro.engine import EngineError, available_strategies
+from repro.engine import EngineError, WorkerPool, available_strategies
 from repro.resilience import (
     DeadlineExceeded,
     FaultPlan,
@@ -65,7 +66,7 @@ from repro.sharding import HashPartitioner, RoundRobinPartitioner, ShardedDataba
 AXES: dict[str, tuple] = {
     "shards": (0, 1, 2, 3, 4),  # 0: the monolithic database
     "partitioner": ("hash", "round-robin"),
-    "executor": ("serial", "thread"),  # the shard fan-out's executor
+    "executor": ("serial", "thread", "process"),  # process: one borrowed WorkerPool
     "driver": ("sync", "async"),  # Engine, or AsyncEngine(pool="thread")
     "optimize": (False, True),
     "stats": (False, True),
@@ -73,7 +74,7 @@ AXES: dict[str, tuple] = {
     "trace": (False, True),  # metadata equal apart from "trace"
     "strategy": ("explicit", "auto"),  # auto: vs what it reports, + exactness audit
     "faults": (False, True),  # a seeded FaultPlan: the chaos invariants
-    "semantics": ("set", "bag"),  # bag: naïve (and auto) under bag semantics
+    "semantics": ("set", "bag"),  # bag: naïve (and auto) also under bag semantics
 }
 
 #: Axes that mean nothing in some rows: axis -> (the setting that makes
@@ -164,9 +165,12 @@ def _describe(row: dict) -> str:
 # Running one call under one configuration
 # ----------------------------------------------------------------------
 class _Drivers:
-    """A sync engine and its async twin over a thread pool."""
+    """A sync engine and its async twin over a thread pool, plus the
+    process pool they borrow for ``executor="process"`` (never closed by
+    the engines: whoever built it closes it)."""
 
-    def __init__(self):
+    def __init__(self, process_pool: WorkerPool):
+        self.process_pool = process_pool
         self.engine = Engine()
         self.aengine = AsyncEngine(engine=self.engine, pool="thread", max_workers=2)
 
@@ -205,9 +209,11 @@ class _Case:
 
     def run(self, config: dict, strategy: str, semantics: str, drivers=None, **options):
         settings = {key: config[key] for key in ("optimize", "stats", "backend", "trace")}
+        drivers = drivers or self.drivers
         if config["shards"]:
-            settings["executor"] = config["executor"]
-        return (drivers or self.drivers).evaluate(
+            executor = config["executor"]
+            settings["executor"] = drivers.process_pool if executor == "process" else executor
+        return drivers.evaluate(
             config["driver"], self.query, self.target(config), strategy=strategy,
             semantics=semantics, **{"use_cache": False, **settings, **options},
         )
@@ -224,17 +230,23 @@ class _Case:
 
 def _blame(case: _Case, call: tuple[str, str]) -> str:
     """The single axes of the row — or, failing those, the pairs — that
-    reproduce a mismatch on their own."""
-    on = [a for a, value in case.row.items() if value != REFERENCE[a] and a not in INERT]
+    reproduce a mismatch on their own.  An axis that is inert without
+    another (the executor without shards) brings that one along."""
+    row = case.row
+    on = [
+        axis for axis, value in row.items()
+        if value != REFERENCE[axis] and (axis not in INERT or INERT[axis][0] not in row.items())
+    ]
     for size in (1, 2):
         culprits = []
         for axes in itertools.combinations(on, size):
-            config = {**REFERENCE, **{axis: case.row[axis] for axis in axes}}
-            if "shards" in axes:  # the shard axis brings its inert companions
-                config.update({axis: case.row[axis] for axis in INERT})
+            config = {**REFERENCE, **{axis: row[axis] for axis in axes}}
+            for axis in INERT.keys() & set(axes):
+                enabling = INERT[axis][0][0]
+                config[enabling] = row[enabling]
             try:
                 case.pair(config, call, "")
-            except AssertionError:
+            except Exception:  # a mismatch, or a crash the reference has not
                 culprits.append("+".join(axes))
         if culprits:
             return "reproduces with only: " + ", ".join(culprits)
@@ -250,7 +262,11 @@ def _check_case(case: _Case, tally: Counter) -> None:
     if row["semantics"] == "bag":
         calls.append(("naive", "bag"))
     if row["strategy"] == "auto":
-        calls.append(("auto", row["semantics"]))
+        # Set semantics always: the planner's set-only choices (Q+,
+        # exact-certain) and the exactness audit need it.
+        calls.append(("auto", "set"))
+        if row["semantics"] == "bag":
+            calls.append(("auto", "bag"))
     reference = {
         strategy: result
         for strategy, semantics in calls
@@ -269,8 +285,9 @@ def _check_case(case: _Case, tally: Counter) -> None:
         label = f"{case.label} {call[0]} ({call[1]})"
         try:
             result = case.pair(row, call, label)
-        except AssertionError as exc:
-            raise AssertionError(f"{exc}\n{_blame(case, call)}") from None
+        except Exception as exc:
+            message = exc if isinstance(exc, AssertionError) else f"{label}: crashed: {exc!r}"
+            raise AssertionError(f"{message}\n{_blame(case, call)}") from exc
         if result is None:
             continue
         configured[call] = result
@@ -382,13 +399,17 @@ def _check_faulted(case: _Case, calls, tally: Counter) -> None:
         retry=RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0, seed=case.index),
     )
     # Fresh engines: their caches and breakers live through the faults
-    # and are interrogated again once the faults are gone.
-    drivers = _Drivers()
+    # and are interrogated again once the faults are gone.  Process
+    # workers forked under the plan keep it, so they get a pool of their
+    # own, closed with the plan: the replay forks fresh, unarmed ones.
+    pool = WorkerPool("process", 2)
+    drivers = _Drivers(pool)
     try:
         with faults_armed(plan):
             for call in calls:
                 label = f"{case.label} {call[0]} ({call[1]}) on_shard_error={options['on_shard_error']}"
                 tally["faults", _faulted_call(case, call, drivers, options, label)] += 1
+        pool.close()
         for call in calls:
             expected = case.reference(call)[0]
             if expected is not None:
@@ -396,6 +417,7 @@ def _check_faulted(case: _Case, calls, tally: Counter) -> None:
                 _assert_identical(expected, replay, f"{case.label} {call[0]} ({call[1]}) replay")
     finally:
         drivers.close()
+        pool.close()
         reset_breakers()
 
 
@@ -477,7 +499,8 @@ def slice_rows(**axes) -> list[dict]:
 def sweep(rows: list[dict], cases: int = SLICE_CASES) -> Counter:
     """Run cases ``0 .. cases-1`` (case *i* under ``rows[i % len(rows)]``)
     and check every coverage floor whose axes some row turns on."""
-    drivers = _Drivers()
+    pool = WorkerPool("process", 2)
+    drivers = _Drivers(pool)
     tally: Counter = Counter()
     unfaulted = []
     try:
@@ -488,6 +511,7 @@ def sweep(rows: list[dict], cases: int = SLICE_CASES) -> Counter:
                 unfaulted.append(case.row)
     finally:
         drivers.close()
+        pool.close()
 
     def on(*axes) -> int:
         return sum(all(r[a] != REFERENCE[a] for a in axes) for r in unfaulted)

@@ -14,6 +14,7 @@ to HTTP 504 while ``/healthz`` exposes breaker snapshots.
 
 from __future__ import annotations
 
+import os
 import pickle
 import time
 
@@ -23,6 +24,8 @@ from repro import Database, Engine
 from repro.algebra import builder as rb
 from repro.algebra.conditions import Attr, Eq
 from repro.engine import EngineError
+from repro.engine.registry import register_strategy, unregister_strategy
+from repro.engine.strategies import NaiveStrategy
 from repro.resilience import (
     CircuitBreaker,
     Deadline,
@@ -39,6 +42,7 @@ from repro.resilience import (
     resolve_deadline,
     resolve_retry,
 )
+from repro.sharding import RoundRobinPartitioner
 
 
 @pytest.fixture(autouse=True)
@@ -402,6 +406,82 @@ def test_every_shard_failing_raises_even_under_degrade():
             engine.evaluate(
                 plan, db, use_cache=False, on_shard_error="degrade", retry=False
             )
+
+
+# ----------------------------------------------------------------------
+# Engine integration: the process pool's failure modes
+# ----------------------------------------------------------------------
+def _is_shard_zero(database: Database) -> bool:
+    """Round-robin sends R's first row (a = 0) to shard 0."""
+    return any(row[0] == 0 for _, relation in database.relations() for row in relation.rows_set())
+
+
+@pytest.fixture
+def scripted_strategy():
+    """Register naïve evaluation with a per-shard script run first."""
+    name = "test-scripted-naive"
+
+    def register(script):
+        @register_strategy(name)
+        class _Scripted(NaiveStrategy):
+            def run(self, query, database, **kwargs):
+                script(database)
+                return super().run(query, database, **kwargs)
+
+        return name
+
+    yield register
+    unregister_strategy(name)
+
+
+@pytest.mark.timeout(60)
+def test_failed_shard_terminates_its_running_sibling(tmp_path, scripted_strategy):
+    """Under ``"raise"`` a failed shard cancels its siblings, and on the
+    process pool that terminates a sibling already running."""
+    marker = tmp_path / "sibling-finished"
+
+    def script(database):
+        if _is_shard_zero(database):
+            raise RuntimeError("shard 0 is down")
+        time.sleep(1.5)
+        marker.write_text("the cancelled sibling ran to its end")
+
+    strategy = scripted_strategy(script)
+    with Engine(shards=2, partitioner=RoundRobinPartitioner(), executor="process") as engine:
+        with pytest.raises(RuntimeError, match="shard 0 is down"):
+            engine.evaluate(
+                _cq_plan(), _database(), strategy=strategy, use_cache=False,
+                on_shard_error="raise",
+            )
+        time.sleep(2.5)
+    assert not marker.exists()
+
+
+@pytest.mark.timeout(60)
+def test_dead_worker_costs_one_retry(tmp_path, scripted_strategy):
+    """A worker that dies fails only its own task: one retry, and the
+    siblings' results stand."""
+    marker = tmp_path / "crashed-once"
+
+    def script(database):
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return
+        os._exit(3)
+
+    strategy = scripted_strategy(script)
+    db = _database()
+    monolithic = Engine().evaluate(_cq_plan(), db, strategy="naive", use_cache=False)
+    with Engine(shards=3, executor="process") as engine:
+        result = engine.evaluate(
+            _cq_plan(), db, strategy=strategy, use_cache=False, on_shard_error="retry",
+            retry=RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0),
+        )
+    assert marker.exists(), "no worker crashed"
+    assert result.metadata["sharding"]["mode"] == "distributed"
+    assert result.relation.rows_bag() == monolithic.relation.rows_bag()
+    assert result.metadata["resilience"]["retries"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ metrics, and leak-free shutdown.
 from __future__ import annotations
 
 import multiprocessing
+import socket
 import threading
 import time
 
@@ -32,6 +33,7 @@ from repro.server import (
     ServerConfig,
     ServerRequestError,
 )
+from repro.server import service
 
 
 @pytest.fixture
@@ -101,6 +103,21 @@ def test_per_request_backend_override(client):
         assert answer["result"]["rows"] == [[1], [2], [3]]
         note = answer["result"]["metadata"]["backend"]
         assert note["requested"] == backend and note["resolved"] == backend
+
+
+def test_accepted_connections_disable_nagle(server, client, monkeypatch):
+    """Headers and body are separate writes; with Nagle's algorithm on,
+    the body would wait for the client's delayed ACK on every response."""
+    nodelay = []
+    setup = service._Handler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        nodelay.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    monkeypatch.setattr(service._Handler, "setup", recording_setup)
+    assert client.healthz()["status"] == "ok"
+    assert nodelay and all(nodelay), nodelay
 
 
 def test_query_roundtrip_and_cache_hit(client):
@@ -339,6 +356,12 @@ def test_cancel_unknown_id_is_a_noop(client):
     assert client.cancel("never-issued") is False
 
 
+def _worker_pids(srv: EvalServer) -> list[int]:
+    """The live worker pids of the server's one (process) WorkerPool."""
+    executor = srv._pool._executor
+    return executor.worker_pids() if executor is not None else []
+
+
 def test_cancel_reaches_worker_process(toy_db, sleep_strategy):
     """With the process pool, cancel terminates the worker mid-task."""
     with EvalServer(
@@ -364,11 +387,11 @@ def test_cancel_reaches_worker_process(toy_db, sleep_strategy):
         thread.start()
         try:
             deadline = time.monotonic() + 10
-            while not srv._pool.worker_pids():
+            while not _worker_pids(srv):
                 assert time.monotonic() < deadline, "worker never spawned"
                 time.sleep(0.02)
             time.sleep(0.3)
-            before = srv._pool.worker_pids()
+            before = _worker_pids(srv)
             start = time.monotonic()
             assert control.cancel("victim") is True
             thread.join(timeout=10)
@@ -377,7 +400,7 @@ def test_cancel_reaches_worker_process(toy_db, sleep_strategy):
             # The replaced worker serves the next request promptly.
             answer = control.query("SELECT a FROM R", db="toy", strategy="naive")
             assert answer["result"]["rows"] == [[1], [2], [3]]
-            assert srv._pool.worker_pids() != before
+            assert _worker_pids(srv) != before
         finally:
             thread.join(timeout=10)
             blocked.close()
