@@ -565,9 +565,6 @@ def _message(exc: BaseException) -> str:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # Headers and body go out in separate writes: with Nagle on, the
-    # body waits for the client's delayed ACK (~40 ms per response).
-    disable_nagle_algorithm = True
     server: _HTTPServer
 
     # ------------------------------------------------------------------

@@ -11,7 +11,6 @@ metrics, and leak-free shutdown.
 from __future__ import annotations
 
 import multiprocessing
-import socket
 import threading
 import time
 
@@ -33,7 +32,6 @@ from repro.server import (
     ServerConfig,
     ServerRequestError,
 )
-from repro.server import service
 
 
 @pytest.fixture
@@ -103,21 +101,6 @@ def test_per_request_backend_override(client):
         assert answer["result"]["rows"] == [[1], [2], [3]]
         note = answer["result"]["metadata"]["backend"]
         assert note["requested"] == backend and note["resolved"] == backend
-
-
-def test_accepted_connections_disable_nagle(server, client, monkeypatch):
-    """Headers and body are separate writes; with Nagle's algorithm on,
-    the body would wait for the client's delayed ACK on every response."""
-    nodelay = []
-    setup = service._Handler.setup
-
-    def recording_setup(handler):
-        setup(handler)
-        nodelay.append(handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
-
-    monkeypatch.setattr(service._Handler, "setup", recording_setup)
-    assert client.healthz()["status"] == "ok"
-    assert nodelay and all(nodelay), nodelay
 
 
 def test_query_roundtrip_and_cache_hit(client):
