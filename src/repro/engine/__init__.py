@@ -55,7 +55,6 @@ from .cache import (
     DiskCacheBackend,
     MemoryCacheBackend,
     NamespacedCacheBackend,
-    ResultCache,
     canonical_option_value,
     canonical_options,
     database_fingerprint,
@@ -64,7 +63,6 @@ from .cache import (
 )
 from .capabilities import EXACT_FRAGMENTS_CWA, StrategyCapabilities
 from .spec import CallSpec
-from .shm_cache import SharedMemoryCacheBackend
 from .core import Engine, Session, default_engine, evaluate
 from .aio import AsyncEngine, AsyncSession
 from .errors import (
@@ -135,9 +133,7 @@ __all__ = [
     "CacheBackend",
     "MemoryCacheBackend",
     "DiskCacheBackend",
-    "SharedMemoryCacheBackend",
     "NamespacedCacheBackend",
-    "ResultCache",
     "CacheStats",
     "resolve_cache_backend",
     "database_fingerprint",

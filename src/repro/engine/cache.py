@@ -1,4 +1,4 @@
-"""Result-cache backends and the database fingerprint.
+"""The result cache and the database fingerprint.
 
 Results are cached under ``(query fingerprint, database fingerprint,
 strategy, semantics, options)``.  Databases carry no version counter, so
@@ -8,23 +8,16 @@ label).  Hashing is linear in the data but orders of magnitude cheaper
 than any of the evaluation strategies; sessions additionally memoise the
 fingerprint of their bound database so repeated calls pay it once.
 
-Storage is pluggable behind the :class:`CacheBackend` protocol
-(``get``/``put``/``clear``/``stats``):
+:class:`CacheBackend` is the one front, over two stores and a view:
 
-* :class:`MemoryCacheBackend` (the historical :class:`ResultCache`,
-  which remains as an alias) — a thread-safe in-process LRU;
+* :class:`MemoryCacheBackend` — a thread-safe in-process LRU;
 * :class:`DiskCacheBackend` — one pickle file per entry under a
   directory, so results survive across sessions *and processes*.  Keys
   are the same content fingerprints, so no invalidation semantics
   change: mutating the database changes its fingerprint and simply
   misses.
-* :class:`~repro.engine.shm_cache.SharedMemoryCacheBackend`
-  (``cache="shm:<name>"``) — one ``multiprocessing.shared_memory``
-  segment per entry, crossing process boundaries without the
-  pickle-to-disk round trip (used by :mod:`repro.server` for per-shard
-  partials).
-* :class:`NamespacedCacheBackend` — a per-namespace view over any of
-  the above, isolating tenants that share one physical backend.
+* :class:`NamespacedCacheBackend` — a per-namespace view over either
+  store, isolating tenants that share one physical store.
 
 Engines accept a backend spec anywhere a cache is configured:
 ``Engine(cache="disk:/path/to/dir")``, ``Session(db, cache=backend)``;
@@ -41,6 +34,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Hashable
@@ -58,7 +52,6 @@ __all__ = [
     "MemoryCacheBackend",
     "DiskCacheBackend",
     "NamespacedCacheBackend",
-    "ResultCache",
     "resolve_cache_backend",
     "canonical_value",
     "canonical_option_value",
@@ -71,7 +64,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss counters of a :class:`ResultCache`."""
+    """Hit/miss counters of a :class:`CacheBackend`."""
 
     hits: int
     misses: int
@@ -85,7 +78,7 @@ class CacheStats:
 
 
 class CacheBackend:
-    """The storage protocol every result cache implements.
+    """The result cache: one front over a store's four hooks.
 
     The engine (sync and async twins, and the sharded evaluator's
     partial-result cache) only ever calls this surface:
@@ -95,62 +88,38 @@ class CacheBackend:
       backend may drop the entry);
     * ``clear()`` — drop every entry, reset the stats epoch;
     * ``stats`` / ``lifetime_stats`` — :class:`CacheStats` counters;
-    * ``enabled`` — a disabled backend is skipped entirely;
+    * ``enabled`` — a disabled backend (``max_size`` 0) is skipped
+      entirely;
     * ``__len__`` — current entry count.
 
-    Implementations must be thread-safe: the thread shard executor and
+    The front does the bookkeeping once for every store: the epoch and
+    lifetime hit/miss counters, the ``cache.get``/``cache.put`` fault
+    points and the ``cache.hits``/``cache.misses``/``cache.evictions``
+    metrics, all labelled ``backend=<name>``.  The cache is best-effort:
+    an injected fault on ``get`` is a miss and on ``put`` drops the
+    entry, never an error.  A store implements the hooks ``_load(key)``
+    (the value, or ``None``), ``_save(key, value)`` (returning how many
+    entries it evicted), ``_drop_all()`` and ``_size()``, each
+    thread-safe on its own: the thread shard executor and
     :class:`~repro.engine.aio.AsyncEngine` worker callbacks share one
-    backend.  Values must be treated as opaque (the engine stores
+    backend.  Values are opaque (the engine stores
     :class:`~repro.engine.result.QueryResult` objects and shard
     partials under distinct key shapes).
     """
 
-    @property
-    def enabled(self) -> bool:
-        return True
+    #: The ``backend=`` label of this store's metrics and fault points;
+    #: every store sets it.
+    name: str
 
-    def get(self, key: Hashable) -> Any | None:
-        raise NotImplementedError
-
-    def put(self, key: Hashable, value: Any) -> None:
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def stats(self) -> CacheStats:
-        raise NotImplementedError
-
-    @property
-    def lifetime_stats(self) -> CacheStats:
-        raise NotImplementedError
-
-
-class MemoryCacheBackend(CacheBackend):
-    """A small in-process LRU cache mapping evaluation keys to results.
-
-    The cache is thread-safe: ``get``/``put``/``clear`` and the stats
-    views take an internal lock, so it can be shared by the thread shard
-    executor and by :class:`~repro.engine.aio.AsyncEngine` worker
-    callbacks without corrupting the LRU order or losing counter
-    updates.  ``stats`` covers the current epoch (reset by ``clear``);
-    ``lifetime_stats`` accumulates across clears.
-    """
-
-    def __init__(self, max_size: int = 256):
+    def __init__(self, max_size: int):
         if max_size < 0:
             raise ValueError("cache size must be non-negative")
         self.max_size = max_size
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        self._counter_lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._lifetime_hits = 0
         self._lifetime_misses = 0
-        self._lock = threading.Lock()
 
     @property
     def enabled(self) -> bool:
@@ -158,40 +127,28 @@ class MemoryCacheBackend(CacheBackend):
 
     def get(self, key: Hashable) -> Any | None:
         try:
-            fault_point("cache.get", backend="memory")
+            fault_point("cache.get", backend=self.name)
+            value = self._load(key)
         except InjectedFault:
-            # The cache contract is best-effort: a failing backend is a
-            # miss, never an error — the evaluation recomputes.
-            with self._lock:
+            value = None
+        with self._counter_lock:
+            if value is None:
                 self._misses += 1
-            return None
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                obs_metrics.incr("cache.misses", backend="memory")
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            obs_metrics.incr("cache.hits", backend="memory")
-            return entry
+            else:
+                self._hits += 1
+        obs_metrics.incr("cache.misses" if value is None else "cache.hits", backend=self.name)
+        return value
 
     def put(self, key: Hashable, value: Any) -> None:
         if not self.enabled:
             return
         try:
-            fault_point("cache.put", backend="memory")
+            fault_point("cache.put", backend=self.name)
+            evicted = self._save(key, value)
         except InjectedFault:
-            return  # best-effort store: a failing backend drops the entry
-        evicted = 0
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_size:
-                self._entries.popitem(last=False)
-                evicted += 1
+            return
         if evicted:
-            obs_metrics.incr("cache.evictions", evicted, backend="memory")
+            obs_metrics.incr("cache.evictions", evicted, backend=self.name)
 
     def clear(self) -> None:
         """Drop every entry and reset the current-epoch counters.
@@ -200,43 +157,83 @@ class MemoryCacheBackend(CacheBackend):
         previous one; the pre-clear counters stay visible through
         ``lifetime_stats``.
         """
-        with self._lock:
-            self._entries.clear()
+        self._drop_all()
+        with self._counter_lock:
             self._lifetime_hits += self._hits
             self._lifetime_misses += self._misses
             self._hits = 0
             self._misses = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return self._size()
+
+    def _stats(self, hits: int, misses: int) -> CacheStats:
+        return CacheStats(hits=hits, misses=misses, size=self._size(), max_size=self.max_size)
 
     @property
     def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                size=len(self._entries),
-                max_size=self.max_size,
-            )
+        with self._counter_lock:
+            hits, misses = self._hits, self._misses
+        return self._stats(hits, misses)
 
     @property
     def lifetime_stats(self) -> CacheStats:
         """Counters accumulated across every ``clear()`` since creation."""
-        with self._lock:
-            return CacheStats(
-                hits=self._lifetime_hits + self._hits,
-                misses=self._lifetime_misses + self._misses,
-                size=len(self._entries),
-                max_size=self.max_size,
-            )
+        with self._counter_lock:
+            hits = self._lifetime_hits + self._hits
+            misses = self._lifetime_misses + self._misses
+        return self._stats(hits, misses)
+
+    # ------------------------------------------------------------------
+    # Store hooks
+    # ------------------------------------------------------------------
+    def _load(self, key: Hashable) -> Any | None:
+        raise NotImplementedError
+
+    def _save(self, key: Hashable, value: Any) -> int:
+        raise NotImplementedError
+
+    def _drop_all(self) -> None:
+        raise NotImplementedError
+
+    def _size(self) -> int:
+        raise NotImplementedError
 
 
-#: Historical name of the in-memory backend; kept as the default and for
-#: the many call sites (and third-party code) created before the
-#: :class:`CacheBackend` split.
-ResultCache = MemoryCacheBackend
+class MemoryCacheBackend(CacheBackend):
+    """A small in-process LRU mapping evaluation keys to results."""
+
+    name = "memory"
+
+    def __init__(self, max_size: int = 256):
+        super().__init__(max_size)
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        self._entries_lock = threading.Lock()
+
+    def _load(self, key: Hashable) -> Any | None:
+        with self._entries_lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def _save(self, key: Hashable, value: Any) -> int:
+        evicted = 0
+        with self._entries_lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.max_size:
+                self._entries.popitem(last=False)
+                evicted += 1
+        return evicted
+
+    def _drop_all(self) -> None:
+        with self._entries_lock:
+            self._entries.clear()
+
+    def _size(self) -> int:
+        with self._entries_lock:
+            return len(self._entries)
 
 
 class DiskCacheBackend(CacheBackend):
@@ -260,30 +257,19 @@ class DiskCacheBackend(CacheBackend):
     writers.
     """
 
+    name = "disk"
+
     def __init__(self, path: str | os.PathLike, max_entries: int = 4096):
-        if max_entries < 0:
-            raise ValueError("cache size must be non-negative")
+        super().__init__(max_entries)
         self.path = Path(path)
-        self.max_entries = max_entries
         self.path.mkdir(parents=True, exist_ok=True)
-        self._hits = 0
-        self._misses = 0
-        self._lifetime_hits = 0
-        self._lifetime_misses = 0
-        self._lock = threading.Lock()
+        self._count_lock = threading.Lock()
         # Approximate entry count, so the common put() stays O(1): the
         # directory is only listed when this estimate crosses the cap
         # (other processes writing concurrently make any count
         # approximate anyway; eviction re-counts exactly when it runs).
         self._approx_count: int | None = None
 
-    @property
-    def enabled(self) -> bool:
-        return self.max_entries > 0
-
-    # ------------------------------------------------------------------
-    # Key → file mapping
-    # ------------------------------------------------------------------
     def _entry_path(self, key: Hashable) -> Path:
         # Engine keys are nested tuples of canonical strings (query and
         # database fingerprints, strategy/semantics names, rendered
@@ -297,213 +283,121 @@ class DiskCacheBackend(CacheBackend):
         except OSError:
             return []
 
-    # ------------------------------------------------------------------
-    # CacheBackend surface
-    # ------------------------------------------------------------------
-    def get(self, key: Hashable) -> Any | None:
+    def _load(self, key: Hashable) -> Any | None:
         entry = self._entry_path(key)
         try:
-            fault_point("cache.get", backend="disk")
-            payload = entry.read_bytes()
-            value = pickle.loads(payload)
-        except InjectedFault:
-            with self._lock:
-                self._misses += 1
-            return None
+            value = pickle.loads(entry.read_bytes())
         except (OSError, pickle.PickleError, EOFError, AttributeError, ImportError):
             # Missing, torn, or written by an incompatible version
             # (including classes whose module has moved or vanished):
             # every one of these is a miss, never an error.
-            with self._lock:
-                self._misses += 1
-            obs_metrics.incr("cache.misses", backend="disk")
             return None
-        try:
+        with suppress(OSError):
             os.utime(entry)  # LRU touch; best-effort
-        except OSError:
-            pass
-        with self._lock:
-            self._hits += 1
-        obs_metrics.incr("cache.hits", backend="disk")
         return value
 
-    def put(self, key: Hashable, value: Any) -> None:
-        if not self.enabled:
-            return
+    def _save(self, key: Hashable, value: Any) -> int:
         entry = self._entry_path(key)
         try:
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         except (pickle.PickleError, TypeError, AttributeError):
-            return  # unpicklable results simply stay uncached
+            return 0  # unpicklable results simply stay uncached
         tmp_name = None
         try:
-            fault_point("cache.put", backend="disk")
             fd, tmp_name = tempfile.mkstemp(dir=self.path, suffix=".tmp")
             with os.fdopen(fd, "wb") as tmp:
                 tmp.write(payload)
             fresh = not entry.exists()
             os.replace(tmp_name, entry)
             tmp_name = None
-        except (OSError, InjectedFault):
-            return
+        except OSError:
+            return 0
         finally:
             if tmp_name is not None:  # replace failed: don't leak the temp
-                try:
+                with suppress(OSError):
                     os.unlink(tmp_name)
-                except OSError:
-                    pass
-        with self._lock:
+        with self._count_lock:
             if self._approx_count is None:
                 self._approx_count = len(self._entry_files())
             elif fresh:
                 self._approx_count += 1
-            over = self._approx_count > self.max_entries
-        if over:
-            self._evict()
+            over = self._approx_count > self.max_size
+        return self._evict() if over else 0
 
-    def _evict(self) -> None:
+    def _evict(self) -> int:
         files = self._entry_files()
-        excess = len(files) - self.max_entries
-        if excess > 0:
+        evicted = 0
+        if len(files) > self.max_size:
             def mtime(path: Path) -> float:
                 try:
                     return path.stat().st_mtime
                 except OSError:
                     return 0.0
 
-            evicted = 0
-            for stale in sorted(files, key=mtime)[:excess]:
-                try:
+            for stale in sorted(files, key=mtime)[: len(files) - self.max_size]:
+                with suppress(OSError):
                     stale.unlink()
                     evicted += 1
-                except OSError:
-                    pass
-            if evicted:
-                obs_metrics.incr("cache.evictions", evicted, backend="disk")
-        with self._lock:
-            self._approx_count = min(len(files), self.max_entries)
+        with self._count_lock:
+            self._approx_count = min(len(files), self.max_size)
+        return evicted
 
-    def clear(self) -> None:
-        for entry in self._entry_files():
-            try:
-                entry.unlink()
-            except OSError:
-                pass
-        # Sweep temp files orphaned by writers that died mid-put.
-        for stale in self.path.glob("*.tmp"):
-            try:
+    def _drop_all(self) -> None:
+        # Also sweeps temp files orphaned by writers that died mid-put.
+        for stale in (*self._entry_files(), *self.path.glob("*.tmp")):
+            with suppress(OSError):
                 stale.unlink()
-            except OSError:
-                pass
-        with self._lock:
+        with self._count_lock:
             self._approx_count = 0
-            self._lifetime_hits += self._hits
-            self._lifetime_misses += self._misses
-            self._hits = 0
-            self._misses = 0
 
-    def __len__(self) -> int:
+    def _size(self) -> int:
         return len(self._entry_files())
-
-    def _stats(self, hits: int, misses: int) -> CacheStats:
-        return CacheStats(
-            hits=hits,
-            misses=misses,
-            size=len(self._entry_files()),
-            max_size=self.max_entries,
-        )
-
-    @property
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return self._stats(self._hits, self._misses)
-
-    @property
-    def lifetime_stats(self) -> CacheStats:
-        with self._lock:
-            return self._stats(
-                self._lifetime_hits + self._hits,
-                self._lifetime_misses + self._misses,
-            )
 
 
 class NamespacedCacheBackend(CacheBackend):
-    """A namespaced *view* of another backend, for multi-tenant isolation.
+    """A namespaced *view* of a shared store, for multi-tenant isolation.
 
     Every key is wrapped as ``("ns", namespace, key)`` before it reaches
-    the underlying backend, so two views with different namespaces can
-    never observe each other's entries — even for identical (query,
-    database, strategy, semantics, options) fingerprints.  This is how
+    the store's hooks, so two views with different namespaces can never
+    observe each other's entries — even for identical (query, database,
+    strategy, semantics, options) fingerprints.  This is how
     :mod:`repro.server` gives each tenant a private slice of one shared
-    backend (memory, disk, or shared-memory alike: the wrapped key's
-    ``repr`` is what keyed-by-digest backends hash, so the namespace
-    lands in the digest).
+    store (the disk store hashes the wrapped key's ``repr``, so the
+    namespace lands in the file name).
 
-    Hit/miss counters are kept per view, so a tenant's ``stats`` reflect
-    that tenant's workload only; ``size``/``max_size`` mirror the shared
-    underlying backend.  ``clear()`` clears the **whole** underlying
-    backend (per-namespace deletion is not expressible through the
-    ``CacheBackend`` surface) — servers should therefore not expose it
-    to tenants.
+    A tenant's lookup is counted, fault-injected and metered once, here
+    in the view (under the store's ``backend`` label), so a tenant's
+    ``stats`` reflect that tenant's workload only; ``size``/``max_size``
+    mirror the shared store.  ``clear()`` clears the **whole** store
+    (per-namespace deletion is not expressible through the hooks) —
+    servers should therefore not expose it to tenants.
     """
 
     def __init__(self, backend: CacheBackend, namespace: str):
+        if not isinstance(backend, CacheBackend):
+            raise EngineError(
+                f"a namespaced cache view needs a CacheBackend store, not "
+                f"{type(backend).__name__}"
+            )
+        super().__init__(backend.max_size)
         self.backend = backend
         self.namespace = str(namespace)
-        self._hits = 0
-        self._misses = 0
-        self._lifetime_hits = 0
-        self._lifetime_misses = 0
-        self._lock = threading.Lock()
+        self.name = backend.name
 
     def _wrap(self, key: Hashable) -> Hashable:
         return ("ns", self.namespace, key)
 
-    @property
-    def enabled(self) -> bool:
-        return self.backend.enabled
+    def _load(self, key: Hashable) -> Any | None:
+        return self.backend._load(self._wrap(key))
 
-    def get(self, key: Hashable) -> Any | None:
-        value = self.backend.get(self._wrap(key))
-        with self._lock:
-            if value is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-        return value
+    def _save(self, key: Hashable, value: Any) -> int:
+        return self.backend._save(self._wrap(key), value)
 
-    def put(self, key: Hashable, value: Any) -> None:
-        self.backend.put(self._wrap(key), value)
+    def _drop_all(self) -> None:
+        self.backend._drop_all()
 
-    def clear(self) -> None:
-        self.backend.clear()
-        with self._lock:
-            self._lifetime_hits += self._hits
-            self._lifetime_misses += self._misses
-            self._hits = 0
-            self._misses = 0
-
-    def __len__(self) -> int:
-        return len(self.backend)
-
-    def _stats(self, hits: int, misses: int) -> CacheStats:
-        underlying = self.backend.stats
-        return CacheStats(
-            hits=hits, misses=misses, size=underlying.size, max_size=underlying.max_size
-        )
-
-    @property
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return self._stats(self._hits, self._misses)
-
-    @property
-    def lifetime_stats(self) -> CacheStats:
-        with self._lock:
-            return self._stats(
-                self._lifetime_hits + self._hits,
-                self._lifetime_misses + self._misses,
-            )
+    def _size(self) -> int:
+        return self.backend._size()
 
 
 def resolve_cache_backend(cache: Any, *, cache_size: int = 256) -> CacheBackend:
@@ -511,11 +405,8 @@ def resolve_cache_backend(cache: Any, *, cache_size: int = 256) -> CacheBackend:
 
     * ``None`` or ``"memory"`` — a fresh :class:`MemoryCacheBackend`
       holding ``cache_size`` entries;
-    * ``"disk:<path>"`` — a :class:`DiskCacheBackend` on that directory;
-    * ``"shm:<name>"`` — a
-      :class:`~repro.engine.shm_cache.SharedMemoryCacheBackend` whose
-      segments share the ``<name>`` prefix, so results cross process
-      boundaries without touching disk;
+    * ``"disk:<path>"`` — a :class:`DiskCacheBackend` on that directory,
+      holding ``cache_size`` entries;
     * an object implementing the :class:`CacheBackend` surface — used
       as-is.  Duck typing is fine (no subclassing required), but the
       engine touches more than ``get``/``put``, so the full surface is
@@ -531,19 +422,10 @@ def resolve_cache_backend(cache: Any, *, cache_size: int = 256) -> CacheBackend:
                 raise EngineError(
                     "cache='disk:' needs a directory, e.g. 'disk:/tmp/repro-cache'"
                 )
-            return DiskCacheBackend(path)
-        if cache.startswith("shm:"):
-            name = cache[len("shm:"):]
-            if not name:
-                raise EngineError(
-                    "cache='shm:' needs a segment-name prefix, e.g. 'shm:repro'"
-                )
-            from .shm_cache import SharedMemoryCacheBackend
-
-            return SharedMemoryCacheBackend(name, max_entries=cache_size)
+            return DiskCacheBackend(path, max_entries=cache_size)
         raise EngineError(
             f"unknown cache spec {cache!r}; expected 'memory', 'disk:<path>', "
-            "'shm:<name>', or a CacheBackend instance"
+            "or a CacheBackend instance"
         )
     required = ("get", "put", "clear", "enabled", "stats")
     if hasattr(cache, "get") and hasattr(cache, "put"):

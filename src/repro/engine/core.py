@@ -32,7 +32,7 @@ from ..exec import interpreter_note
 from ..obs import metrics as obs_metrics
 from ..obs.explain import render_explain
 from ..obs.trace import Span, SpanContext, span, start_trace
-from ..resilience import Deadline, breaker_snapshots, resolve_deadline
+from ..resilience import Deadline, armed_plan, breaker_snapshots, resolve_deadline
 from .cache import (
     CacheBackend,
     CacheStats,
@@ -91,6 +91,7 @@ class PreparedCall:
             options=tuple(self.options.items()),
             deadline=self.deadline,
             trace=trace,
+            faults=armed_plan(),
         )
 
 

@@ -48,6 +48,13 @@ class BrokenWorkerError(RuntimeError):
     """A worker process died while running a task that was not cancelled."""
 
 
+#: Held from creating a worker's pipe until the parent has closed the
+#: child end.  A worker forked inside another spawn's window inherits
+#: that sibling's child end and keeps it open, so when the sibling dies
+#: its dispatcher's ``recv()`` never sees EOF and its task hangs.
+_SPAWN_LOCK = threading.Lock()
+
+
 def _worker_main(conn) -> None:
     """Worker-process loop: receive ``(fn, args, kwargs)``, reply once each."""
     while True:
@@ -59,7 +66,6 @@ def _worker_main(conn) -> None:
             return
         fn, args, kwargs = item
         try:
-            fault_point("pool.worker", fn=getattr(fn, "__name__", str(fn)))
             reply = (True, fn(*args, **kwargs))
         except BaseException as exc:  # noqa: BLE001 - shipped to the parent
             reply = (False, exc)
@@ -136,13 +142,14 @@ class _Dispatcher:
 
     def _spawn(self) -> None:
         ctx = self.executor._ctx
-        parent_conn, child_conn = ctx.Pipe()
-        process = ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True,
-            name=f"repro-pool-worker-{self.index}",
-        )
-        process.start()
-        child_conn.close()
+        with _SPAWN_LOCK:
+            parent_conn, child_conn = ctx.Pipe()
+            process = ctx.Process(
+                target=_worker_main, args=(child_conn,), daemon=True,
+                name=f"repro-pool-worker-{self.index}",
+            )
+            process.start()
+            child_conn.close()
         with self.executor._lock:
             self.conn, self.process = parent_conn, process
 

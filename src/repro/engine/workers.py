@@ -37,7 +37,7 @@ from typing import Any, Hashable, Sequence
 
 from ..datamodel.database import Database
 from ..obs.trace import SpanContext
-from ..resilience import Deadline, deadline_scope, fault_point
+from ..resilience import Deadline, FaultPlan, adopt_faults, deadline_scope, fault_point
 from .drive import completed_future
 from .errors import EngineError
 from .frontend import NormalizedQuery
@@ -72,6 +72,10 @@ class Task:
     #: :class:`TaskResult`, where the fan-out grafts it into the live
     #: trace.  Excluded from equality — tracing observes, never steers.
     trace: SpanContext | None = field(default=None, compare=False)
+    #: The fault plan armed when the task was built: a process worker
+    #: outlives any one arming, so it adopts the plan of each task it
+    #: runs.  Excluded from equality, like the deadline.
+    faults: FaultPlan | None = field(default=None, compare=False)
     #: The shard index, or ``None`` for a whole-query task.
     shard: int | None = None
     #: The partial-cache key the orchestrator stores a shard's outcome
@@ -130,6 +134,14 @@ def run_task(task: Task) -> TaskResult:
         elapsed=elapsed,
         trace=None if root is None else root.export(),
     )
+
+
+def _run_in_worker(task: Task) -> TaskResult:
+    """The process pool's entry point: arm the task's fault plan in this
+    worker (or disarm, for a task built unarmed), then run the task."""
+    adopt_faults(task.faults)
+    fault_point("pool.worker", fn="run_task")
+    return run_task(task)
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +204,7 @@ class WorkerPool:
     def __init__(self, kind: Any = "serial", max_workers: int | None = None):
         self.kind = pool_kind(kind)
         self.max_workers = max_workers
+        self._entry = _run_in_worker if self.kind == "process" else run_task
 
     def _pool(self) -> concurrent.futures.Executor:
         if self._executor is None:
@@ -204,14 +217,14 @@ class WorkerPool:
         """Start one task, returning its future."""
         if self.kind == "serial":
             return completed_future(run_task, task)
-        return self._pool().submit(run_task, task)
+        return self._pool().submit(self._entry, task)
 
     def run(self, tasks: Sequence[Task]) -> list[TaskResult]:
         """Run every task and block for the results (the sync fast path;
         a lone task runs inline)."""
         if self.kind == "serial" or len(tasks) <= 1:
             return [run_task(task) for task in tasks]
-        return list(self._pool().map(run_task, tasks))
+        return list(self._pool().map(self._entry, tasks))
 
     def close(self) -> None:
         """Shut down the workers, cancelling tasks not yet started."""

@@ -14,8 +14,8 @@ through to close that gap:
   fan-outs abort with :class:`DeadlineExceeded` instead of hanging.
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy`, capped
   exponential backoff with *deterministic* jitter, applied to transient
-  failures (killed pool workers, shm attach races, SQLite
-  ``OperationalError``); retry counts land in
+  failures (killed pool workers, SQLite ``OperationalError``); retry
+  counts land in
   ``result.metadata["resilience"]``.
 * :mod:`repro.resilience.breaker` — a per-``(strategy, backend)``
   :class:`CircuitBreaker`.  Repeated SQLite-backend failures trip
@@ -23,9 +23,9 @@ through to close that gap:
   (half-open probes recover), visible in the server's ``/healthz``.
 * :mod:`repro.resilience.faults` — named :func:`fault_point` hooks in
   the shard executors, pool dispatch, cache backends and the SQLite
-  backend.  No-ops unless a seeded :class:`FaultPlan` is armed
-  (programmatically or via ``REPRO_FAULT_PLAN``), powering the fault
-  axis of ``tests/test_differential.py``.
+  backend.  No-ops unless a seeded :class:`FaultPlan` is armed; the
+  armed plan rides on each worker task into process workers.  It powers
+  the fault axis of ``tests/test_differential.py``.
 
 Everything here is stdlib-only and imports nothing from the rest of
 ``repro`` — the execution layers import *us*, never the other way
@@ -56,6 +56,7 @@ from .faults import (
     FaultRule,
     InjectedFault,
     TransientFault,
+    adopt_faults,
     arm_faults,
     armed_plan,
     disarm_faults,
@@ -90,4 +91,5 @@ __all__ = [
     "disarm_faults",
     "faults_armed",
     "armed_plan",
+    "adopt_faults",
 ]

@@ -1,8 +1,8 @@
 """Circuit breakers: stop hammering a backend that keeps failing.
 
 ``backend="auto"`` prefers the SQLite pushdown when a plan is
-expressible — but when SQLite itself is unhealthy (injected faults, shm
-pressure, a corrupted tmpfs), every request would pay a failed pushdown
+expressible — but when SQLite itself is unhealthy (injected faults, a
+full or corrupted tmpfs), every request would pay a failed pushdown
 attempt (plus retries) before falling back to the interpreter.  A
 :class:`CircuitBreaker` per ``(strategy, backend)`` pair cuts that
 short with the classic three-state machine:

@@ -8,12 +8,14 @@ reads/writes, the SQLite backend::
 
 With no :class:`FaultPlan` armed the call is a module-global ``None``
 check — effectively free, safe to leave in production paths.  The chaos
-harness arms a plan (programmatically via :func:`faults_armed`, or
-through the ``REPRO_FAULT_PLAN`` environment variable so spawned worker
-processes inherit it) and the hooks start failing on a *deterministic
-schedule*: each decision is drawn from ``(plan seed, point name, per-
-point fire counter)``, so a fixed seed replays the exact same crash/
-delay/error sequence run after run.
+harness arms a plan (:func:`arm_faults`, :func:`faults_armed`) and the
+hooks start failing on a *deterministic schedule*: each decision is
+drawn from ``(plan seed, point name, per-point fire counter)``, so a
+fixed seed replays the exact same crash/delay/error sequence run after
+run.  Process workers outlive any one arming, so the plan armed when a
+:class:`~repro.engine.workers.Task` is built rides on the task (pickled
+as its JSON) and the worker adopts it for that task
+(:func:`adopt_faults`).
 
 Three fault kinds:
 
@@ -53,12 +55,8 @@ __all__ = [
     "disarm_faults",
     "faults_armed",
     "armed_plan",
+    "adopt_faults",
 ]
-
-#: Environment variable holding a JSON fault plan (see
-#: :meth:`FaultPlan.to_json`); read lazily on the first fault point so
-#: spawned worker processes arm themselves.
-FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 
 class InjectedFault(RuntimeError):
@@ -187,8 +185,13 @@ class FaultPlan:
             }
 
     # ------------------------------------------------------------------
-    # Serialization (for REPRO_FAULT_PLAN / spawned workers)
+    # Serialization (a plan travels to process workers on its task)
     # ------------------------------------------------------------------
+    def __reduce__(self):
+        # Pickled as its JSON: the lock stays behind, and a worker's copy
+        # starts its own draw counters.
+        return (FaultPlan.from_json, (self.to_json(),))
+
     def to_json(self) -> str:
         return json.dumps(
             {"seed": self.seed, "rules": [rule.as_dict() for rule in self.rules]}
@@ -205,39 +208,46 @@ class FaultPlan:
 # Arming
 # ----------------------------------------------------------------------
 _PLAN: FaultPlan | None = None
-_ENV_CHECKED = False
 _ARM_LOCK = threading.Lock()
 
 
 def arm_faults(plan: FaultPlan) -> None:
     """Arm ``plan`` process-wide (until :func:`disarm_faults`)."""
-    global _PLAN, _ENV_CHECKED
+    global _PLAN
     with _ARM_LOCK:
         _PLAN = plan
-        _ENV_CHECKED = True
 
 
 def disarm_faults() -> None:
-    global _PLAN, _ENV_CHECKED
+    global _PLAN
     with _ARM_LOCK:
         _PLAN = None
-        _ENV_CHECKED = True
 
 
 def armed_plan() -> FaultPlan | None:
-    """The currently armed plan, consulting the environment once."""
-    global _PLAN, _ENV_CHECKED
-    if _PLAN is None and not _ENV_CHECKED:
-        with _ARM_LOCK:
-            if not _ENV_CHECKED:
-                _ENV_CHECKED = True
-                text = os.environ.get(FAULT_PLAN_ENV)
-                if text:
-                    try:
-                        _PLAN = FaultPlan.from_json(text)
-                    except (ValueError, TypeError, KeyError):
-                        _PLAN = None
+    """The currently armed plan."""
     return _PLAN
+
+
+def _unarm_after_fork() -> None:
+    # A forked worker gets its plan with its tasks, never from the fork:
+    # a parent thread may have held the lock, or the plan's own lock, at
+    # that instant.
+    global _PLAN, _ARM_LOCK
+    _PLAN, _ARM_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_unarm_after_fork)
+
+
+def adopt_faults(plan: FaultPlan | None) -> None:
+    """Arm the plan a task brought to a worker process (``None``
+    disarms).  A plan equal to the armed one (same JSON) keeps the armed
+    copy, and with it the draw counters of the earlier tasks."""
+    global _PLAN
+    with _ARM_LOCK:
+        if plan is None or _PLAN is None or plan.to_json() != _PLAN.to_json():
+            _PLAN = plan
 
 
 @contextlib.contextmanager
@@ -262,9 +272,7 @@ def fault_point(name: str, **info: Any) -> None:
     """
     plan = _PLAN
     if plan is None:
-        plan = armed_plan()
-        if plan is None:
-            return
+        return
     rule = plan.decide(name, info)
     if rule is None:
         return

@@ -4,11 +4,10 @@ Examples::
 
     python -m repro.server --port 8080
     python -m repro.server --workload tpch-lite --scale 0.05 --pool process
-    python -m repro.server --cache shm:reprosrv --max-concurrency 8
+    python -m repro.server --cache disk:/tmp/reprosrv --max-concurrency 8
 
 The server stays up until SIGINT/SIGTERM, then shuts down cleanly
-(cancelling in-flight work and releasing pool workers and the cache
-backend).
+(cancelling in-flight work and releasing pool workers).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache",
         default=None,
-        help="shared cache backend: memory (default), disk:<path>, shm:<name>",
+        help="shared cache store: memory (default) or disk:<path>",
     )
     parser.add_argument("--cache-size", type=int, default=1024)
     parser.add_argument(

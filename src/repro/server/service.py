@@ -8,7 +8,7 @@ one asyncio event loop hosting per-tenant
 
 * **Tenant isolation.**  Every tenant gets a private
   :class:`~repro.engine.cache.NamespacedCacheBackend` slice of one
-  shared backend (memory, ``disk:<path>``, or ``shm:<name>``), its own
+  shared store (memory or ``disk:<path>``), its own
   sync/async engine pair, and a tenant-scoped dataset namespace layered
   over the server-wide datasets.  Identical (query, database)
   fingerprints from different tenants never share cache entries.
@@ -111,8 +111,9 @@ class ServerConfig:
     #: Admitted-but-waiting requests beyond ``max_concurrency``; past
     #: that the server answers 429.
     queue_limit: int = 16
-    #: Shared cache backend spec (``None``/"memory", ``"disk:<path>"``,
-    #: ``"shm:<name>"``, or a :class:`~repro.engine.cache.CacheBackend`).
+    #: Shared cache store spec (``None``/"memory", ``"disk:<path>"``, or
+    #: a :class:`~repro.engine.cache.CacheBackend` store), holding
+    #: ``cache_size`` entries when built from a spec.
     cache: Any = None
     cache_size: int = 1024
     default_strategy: str = "auto"
@@ -227,10 +228,14 @@ class EvalServer:
             raise EngineError("queue_limit must be non-negative")
         self.config = config
         self.metrics = ServerMetrics()
-        self._owns_backend = not isinstance(config.cache, CacheBackend)
         self._backend = resolve_cache_backend(
             config.cache, cache_size=config.cache_size
         )
+        if not isinstance(self._backend, CacheBackend):
+            raise EngineError(
+                "ServerConfig.cache must be a CacheBackend store: every tenant "
+                "gets a namespaced view of it"
+            )
         self._pool = WorkerPool(config.pool, config.max_workers)
         self._admission = _AdmissionGate(config.max_concurrency + config.queue_limit)
         self._exec_slots = asyncio.Semaphore(config.max_concurrency)
@@ -309,10 +314,6 @@ class EvalServer:
             self._loop_thread.join(timeout=10.0)
         self._loop.close()
         self._pool.close()
-        if self._owns_backend:
-            close = getattr(self._backend, "close", None)
-            if callable(close):
-                close()
         self._httpd.server_close()
 
     def __enter__(self) -> "EvalServer":

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from ..datamodel.database import Database
 from ..datamodel.relation import Relation
-from ..engine.cache import ResultCache, canonical_options, database_fingerprint
+from ..engine.cache import CacheBackend, canonical_options, database_fingerprint
 from ..engine.capabilities import StrategyCapabilities
 from ..engine.drive import Dispatch, run_tasks
 from ..engine.errors import EngineError
@@ -61,7 +61,7 @@ from ..engine.result import AnnotatedTuple, Certainty, QueryResult
 from ..engine.workers import Task, TaskResult, WorkerPool
 from ..obs import metrics as obs_metrics
 from ..obs.trace import SpanContext, span
-from ..resilience import DeadlineExceeded
+from ..resilience import DeadlineExceeded, armed_plan
 from .database import ShardedDatabase, shard_relation_name
 from .planner import NonDistributableError, ShardPlan, shard_plan
 
@@ -318,8 +318,10 @@ def _plan_sharded_call(
     tasks: list[Task] = []
     hits = 0
     # Captured once for the whole fan-out: every shard task links back
-    # to the same ambient span (None when the call is untraced).
+    # to the same ambient span (None when the call is untraced) and
+    # carries the same armed fault plan.
     trace_ctx = SpanContext.capture()
+    faults = armed_plan()
     with span("shard.plan", shards=count) as planning:
         for shard in range(count):
             key = None
@@ -346,6 +348,7 @@ def _plan_sharded_call(
                     options=tuple(options.items()),
                     deadline=call.deadline,
                     trace=trace_ctx,
+                    faults=faults,
                     shard=shard,
                     cache_key=key,
                 )
@@ -373,7 +376,7 @@ def _coalesced_result(
 def _absorb_partials(
     planned: _PlannedShardedCall,
     computed: Sequence[TaskResult | None],
-    cache: ResultCache | None,
+    cache: CacheBackend | None,
 ) -> None:
     # A ``None`` hole is a shard that failed under
     # ``on_shard_error="degrade"``: it contributes nothing to the merge

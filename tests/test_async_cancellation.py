@@ -19,6 +19,8 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import multiprocessing
+import os
+import signal
 import threading
 import time
 
@@ -272,6 +274,58 @@ def test_pool_shutdown_rejects_new_work():
     pool.shutdown(wait=True)
     with pytest.raises(RuntimeError):
         pool.submit(divmod, 1, 1)
+    assert multiprocessing.active_children() == []
+
+
+class _SlowStartContext:
+    """A start-method context whose ``Process.start`` lingers after the
+    fork, widening the window before the parent closes the child's pipe
+    end; records the processes in the order they were forked."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+        self.started: list = []
+
+    def Pipe(self, *args, **kwargs):
+        return self._ctx.Pipe(*args, **kwargs)
+
+    def Process(self, *args, **kwargs):
+        process = self._ctx.Process(*args, **kwargs)
+        fork = process.start
+
+        def start():
+            fork()
+            self.started.append(process)
+            time.sleep(0.5)
+
+        process.start = start
+        return process
+
+
+@pytest.mark.timeout(60)
+def test_concurrent_spawns_do_not_leak_pipe_ends():
+    """A worker forked while a sibling is being spawned must not inherit
+    the sibling's pipe end: killing the first-forked worker fails its
+    task at once, not when the other worker's task ends."""
+    pool = CancellableProcessExecutor(max_workers=2)
+    ctx = pool._ctx = _SlowStartContext(pool._ctx)
+    futures = [pool.submit(time.sleep, 20) for _ in range(2)]
+    try:
+        deadline = time.monotonic() + 10
+        while len(ctx.started) < 2:
+            assert time.monotonic() < deadline, "workers never spawned"
+            time.sleep(0.02)
+        time.sleep(0.8)  # both spawns finished, both tasks sent
+        os.kill(ctx.started[0].pid, signal.SIGKILL)
+        done, _ = concurrent.futures.wait(
+            futures, timeout=5, return_when=concurrent.futures.FIRST_COMPLETED
+        )
+        assert len(done) == 1, "the killed worker's task did not fail"
+        assert isinstance(done.pop().exception(), BrokenWorkerError)
+    finally:
+        for future in futures:
+            future.cancel()
+        pool.shutdown(wait=True, cancel_futures=True)
     assert multiprocessing.active_children() == []
 
 

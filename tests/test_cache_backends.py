@@ -27,7 +27,6 @@ from repro.engine import (
     EngineError,
     MemoryCacheBackend,
     QueryResult,
-    ResultCache,
     resolve_cache_backend,
 )
 from repro.sharding import ShardedDatabase
@@ -51,7 +50,6 @@ class TestResolveBackend:
         backend = resolve_cache_backend(None, cache_size=7)
         assert isinstance(backend, MemoryCacheBackend)
         assert backend.max_size == 7
-        assert ResultCache is MemoryCacheBackend  # the historical name
 
     def test_disk_spec_builds_a_disk_backend(self, tmp_path):
         backend = resolve_cache_backend(f"disk:{tmp_path / 'cache'}")

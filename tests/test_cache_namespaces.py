@@ -1,49 +1,44 @@
-"""Tenant cache namespaces and the shared-memory backend.
+"""The one cache front over every store, and tenant namespaces.
 
 Multi-tenant isolation contract: two
 :class:`~repro.engine.cache.NamespacedCacheBackend` views with different
-namespaces over ONE shared backend never see each other's entries —
-across every backend kind (memory, disk, shared-memory).  Plus the
-shared-memory backend's own contract: pickle round-trip, LRU eviction,
-cross-instance visibility by segment name, torn/absent reads are misses,
-``clear``/``close`` unlink, and the ``"shm:<name>"`` resolver spec.
+namespaces over ONE shared store never see each other's entries —
+across every store kind (memory, disk).  Plus the front's bookkeeping,
+written once in :class:`~repro.engine.cache.CacheBackend`: a lookup
+through a view is counted, fault-injected and metered once, and an
+injected fault is a miss in the stats and in the ``cache.misses`` metric
+alike.
 """
 
 from __future__ import annotations
 
-import uuid
-
 import pytest
 
 from repro.datamodel.database import Database
-from repro.engine import Engine, SharedMemoryCacheBackend, resolve_cache_backend
+from repro.engine import Engine, EngineError, Session
 from repro.engine.cache import (
     DiskCacheBackend,
     MemoryCacheBackend,
     NamespacedCacheBackend,
 )
+from repro.obs import metrics as obs_metrics
+from repro.resilience import FaultPlan, FaultRule, faults_armed
+from repro.server import EvalServer, ServerConfig
 
 
-def _shm_name() -> str:
-    # Unique per test: segments are host-global, parallel test runs must
-    # not collide.
-    return f"t{uuid.uuid4().hex[:7]}"
-
-
-@pytest.fixture(params=["memory", "disk", "shm"])
+@pytest.fixture(params=["memory", "disk"])
 def backend(request, tmp_path):
     if request.param == "memory":
-        yield MemoryCacheBackend(max_size=64)
-    elif request.param == "disk":
-        yield DiskCacheBackend(tmp_path / "cache", max_entries=64)
-    else:
-        shm = SharedMemoryCacheBackend(_shm_name(), max_entries=64)
-        yield shm
-        shm.close()
+        return MemoryCacheBackend(max_size=64)
+    return DiskCacheBackend(tmp_path / "cache", max_entries=64)
+
+
+def _counter(name: str, backend) -> float:
+    return obs_metrics.global_registry().counter_value(name, backend=backend.name)
 
 
 # ----------------------------------------------------------------------
-# Namespace isolation, over every backend kind
+# Namespace isolation, over every store kind
 # ----------------------------------------------------------------------
 def test_namespaces_do_not_share_entries(backend):
     alice = NamespacedCacheBackend(backend, "alice")
@@ -64,6 +59,8 @@ def test_namespace_views_track_their_own_hits_and_misses(backend):
     bob.get("k")
     assert alice.stats.hits == 1 and alice.stats.misses == 0
     assert bob.stats.hits == 0 and bob.stats.misses == 1
+    assert alice.stats.size == len(backend) == 1
+    assert alice.stats.max_size == backend.max_size
 
 
 def test_engines_sharing_backend_stay_isolated(backend):
@@ -84,93 +81,74 @@ def test_engines_sharing_backend_stay_isolated(backend):
         bob.close()
 
 
-# ----------------------------------------------------------------------
-# SharedMemoryCacheBackend specifics
-# ----------------------------------------------------------------------
-def test_shm_roundtrip_and_len():
-    shm = SharedMemoryCacheBackend(_shm_name(), max_entries=8)
-    try:
-        assert shm.get("missing") is None
-        shm.put(("k", 1), {"answer": [(1,), (2,)]})
-        assert shm.get(("k", 1)) == {"answer": [(1,), (2,)]}
-        assert len(shm) == 1
-        assert shm.stats.hits == 1 and shm.stats.misses == 1
-    finally:
-        shm.close()
+def test_a_view_lookup_is_counted_and_metered_once(backend):
+    """The view does the bookkeeping under the store's label; the shared
+    store's own counters see none of it."""
+    alice = NamespacedCacheBackend(backend, "alice")
+    alice.put("k", "v")
+    hits, misses = _counter("cache.hits", backend), _counter("cache.misses", backend)
+    assert alice.get("k") == "v"
+    assert alice.get("absent") is None
+    assert _counter("cache.hits", backend) - hits == 1
+    assert _counter("cache.misses", backend) - misses == 1
+    assert (backend.stats.hits, backend.stats.misses) == (0, 0)
 
 
-def test_shm_lru_eviction_bounds_owned_segments():
-    shm = SharedMemoryCacheBackend(_shm_name(), max_entries=2)
-    try:
-        shm.put("a", 1)
-        shm.put("b", 2)
-        assert shm.get("a") == 1  # refresh: "b" is now the LRU entry
-        shm.put("c", 3)
-        assert len(shm) == 2
-        assert shm.get("b") is None  # evicted and unlinked
-        assert shm.get("a") == 1
-        assert shm.get("c") == 3
-    finally:
-        shm.close()
+def test_an_injected_fault_is_one_miss_everywhere(backend):
+    """A failing store is a miss in the stats *and* the metric, and a
+    failing put drops the entry; the fault point fires once per call,
+    through a view as well."""
+    alice = NamespacedCacheBackend(backend, "alice")
+    plan = FaultPlan(
+        [
+            FaultRule(point="cache.get", where={"backend": backend.name}),
+            FaultRule(point="cache.put", where={"backend": backend.name}),
+        ],
+        seed=0,
+    )
+    for cache in (backend, alice):
+        cache.put("k", "v")
+        misses = _counter("cache.misses", backend)
+        with faults_armed(plan):
+            assert cache.get("k") is None
+            cache.put("other", "w")
+        assert _counter("cache.misses", backend) - misses == 1
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+        assert cache.get("other") is None
+        assert cache.get("k") == "v"
+    assert plan.fire_counts() == {"cache.get": 2, "cache.put": 2}
 
 
-def test_shm_cross_instance_visibility_same_prefix():
-    name = _shm_name()
-    writer = SharedMemoryCacheBackend(name, max_entries=8)
-    reader = SharedMemoryCacheBackend(name, max_entries=8)
-    try:
-        writer.put("shared-key", ("payload", 42))
-        # The reader never stored anything, but attaches by segment name.
-        assert reader.get("shared-key") == ("payload", 42)
-        assert len(reader) == 0  # ownership stays with the writer
-    finally:
-        reader.close()
-        writer.close()
+def test_a_view_needs_a_store():
+    """A duck-typed cache still serves an engine, but a tenant view (and
+    so the server) needs a store's hooks; the server says so up front."""
+
+    class _DuckTyped:
+        enabled = True
+        stats = None
+
+        def get(self, key):
+            return None
+
+        def put(self, key, value):
+            pass
+
+        def clear(self):
+            pass
+
+    duck = _DuckTyped()
+    with Engine(cache=duck) as engine:
+        assert engine.cache is duck
+    with pytest.raises(EngineError, match="CacheBackend store"):
+        NamespacedCacheBackend(duck, "alice")
+    with pytest.raises(EngineError, match="CacheBackend store"):
+        EvalServer(ServerConfig(cache=duck))
 
 
-def test_shm_clear_unlinks_everything():
-    shm = SharedMemoryCacheBackend(_shm_name(), max_entries=8)
-    try:
-        shm.put("a", 1)
-        shm.put("b", 2)
-        shm.clear()
-        assert len(shm) == 0
-        assert shm.get("a") is None and shm.get("b") is None
-        assert shm.lifetime_stats.misses >= 1
-    finally:
-        shm.close()
-
-
-def test_shm_close_disables_backend():
-    shm = SharedMemoryCacheBackend(_shm_name(), max_entries=8)
-    shm.put("a", 1)
-    shm.close()
-    assert shm.enabled is False
-    shm.put("b", 2)  # silently ignored, no resurrection
-    assert len(shm) == 0
-
-
-def test_shm_unpicklable_values_stay_uncached():
-    shm = SharedMemoryCacheBackend(_shm_name(), max_entries=8)
-    try:
-        shm.put("fn", lambda x: x)  # lambdas don't pickle
-        assert shm.get("fn") is None
-        assert len(shm) == 0
-    finally:
-        shm.close()
-
-
-def test_resolver_accepts_shm_spec():
-    resolved = resolve_cache_backend(f"shm:{_shm_name()}", cache_size=16)
-    try:
-        assert isinstance(resolved, SharedMemoryCacheBackend)
-        assert resolved.max_entries == 16
-        resolved.put("k", "v")
-        assert resolved.get("k") == "v"
-    finally:
-        resolved.close()
-
-
-def test_resolver_rejects_unusable_shm_name():
-    with pytest.raises(Exception):
-        resolve_cache_backend("shm:///", cache_size=16)
+def test_disk_spec_honours_cache_size(tmp_path):
+    db = Database.from_dict({"R": (("a",), [(1,)])})
+    with Session(db, cache=f"disk:{tmp_path / 'cache'}", cache_size=3) as session:
+        assert session.cache_stats.max_size == 3
+        for value in range(5):
+            session.evaluate(f"SELECT a FROM R WHERE a = {value}", strategy="naive")
+        assert len(session.engine.cache) == 3

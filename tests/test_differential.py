@@ -7,11 +7,13 @@ strategy under set semantics, plus naïve under bags when the row asks
 for them and ``auto`` under set semantics (and bags) when the row asks
 for it — is evaluated twice: under the reference (the first value of
 every axis: monolithic, serial, sync, unoptimized, stats off,
-interpreter, untraced, no faults) and under the row.  The two must
-refuse alike or answer identically, tuple for tuple and annotation for
-annotation, and both sides must satisfy the soundness chain.  A
-mismatch names the case, the seed, the row and the axes (or pairs of
-axes) that reproduce it on their own.
+interpreter, untraced, no faults, no cache) and under the row.  The two
+must refuse alike or answer identically, tuple for tuple and annotation
+for annotation, and both sides must satisfy the soundness chain.  With
+a cache on, the row's call runs a second time and must come from the
+cache, identical apart from the cache fields.  A mismatch names the
+case, the seed, the row and the axes (or pairs of axes) that reproduce
+it on their own.
 
 The fault axis keeps the chaos invariants instead of strict identity: a
 degraded answer is a sound subset of the reference, no call outlives
@@ -26,7 +28,9 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import shutil
 import sqlite3
+import tempfile
 import time
 from collections import Counter
 
@@ -75,6 +79,9 @@ AXES: dict[str, tuple] = {
     "strategy": ("explicit", "auto"),  # auto: vs what it reports, + exactness audit
     "faults": (False, True),  # a seeded FaultPlan: the chaos invariants
     "semantics": ("set", "bag"),  # bag: naïve (and auto) also under bag semantics
+    # On: evaluate twice, the second call a hit.  Faulted rows always
+    # cache ("off": in memory), so their replay comes from the cache.
+    "cache": ("off", "memory", "disk"),
 }
 
 #: Axes that mean nothing in some rows: axis -> (the setting that makes
@@ -165,23 +172,31 @@ def _describe(row: dict) -> str:
 # Running one call under one configuration
 # ----------------------------------------------------------------------
 class _Drivers:
-    """A sync engine and its async twin over a thread pool, plus the
-    process pool they borrow for ``executor="process"`` (never closed by
-    the engines: whoever built it closes it)."""
+    """Sync engines and their async twins over a thread pool, one pair
+    per cache store (the memory pair also serves ``cache="off"``, whose
+    calls bypass it), plus the process pool they borrow for
+    ``executor="process"`` (never closed by the engines: whoever built
+    it closes it)."""
 
     def __init__(self, process_pool: WorkerPool):
         self.process_pool = process_pool
-        self.engine = Engine()
-        self.aengine = AsyncEngine(engine=self.engine, pool="thread", max_workers=2)
+        self.cache_dir = tempfile.mkdtemp(prefix="repro-diff-cache-")
+        self.engines = {"memory": Engine(), "disk": Engine(cache=f"disk:{self.cache_dir}")}
+        self.aengines = {
+            store: AsyncEngine(engine=engine, pool="thread", max_workers=2)
+            for store, engine in self.engines.items()
+        }
 
-    def evaluate(self, driver: str, *args, **kwargs):
+    def evaluate(self, driver: str, cache: str, *args, **kwargs):
+        store = "disk" if cache == "disk" else "memory"
         if driver == "sync":
-            return self.engine.evaluate(*args, **kwargs)
-        return asyncio.run(self.aengine.evaluate(*args, **kwargs))
+            return self.engines[store].evaluate(*args, **kwargs)
+        return asyncio.run(self.aengines[store].evaluate(*args, **kwargs))
 
     def close(self) -> None:
-        self.aengine.close()
-        self.engine.close()
+        for engine in (*self.aengines.values(), *self.engines.values()):
+            engine.close()
+        shutil.rmtree(self.cache_dir, ignore_errors=True)
 
 
 class _Case:
@@ -214,8 +229,9 @@ class _Case:
             executor = config["executor"]
             settings["executor"] = drivers.process_pool if executor == "process" else executor
         return drivers.evaluate(
-            config["driver"], self.query, self.target(config), strategy=strategy,
-            semantics=semantics, **{"use_cache": False, **settings, **options},
+            config["driver"], config["cache"], self.query, self.target(config),
+            strategy=strategy, semantics=semantics,
+            **{"use_cache": config["cache"] != "off", **settings, **options},
         )
 
     def reference(self, call: tuple[str, str]):
@@ -225,13 +241,40 @@ class _Case:
         return self._reference[call]
 
     def pair(self, config: dict, call: tuple[str, str], label: str):
-        return _evaluate_pair(self.reference(call), lambda: self.run(config, *call), label)
+        result = _evaluate_pair(self.reference(call), lambda: self.run(config, *call), label)
+        if result is not None and config["cache"] != "off":
+            _check_cached(result, self.run(config, *call), f"{label} cache={config['cache']}")
+        return result
 
 
-def _blame(case: _Case, call: tuple[str, str]) -> str:
+def _without_cache_fields(result) -> dict:
+    """The metadata a cache hit must keep: all but the trace (each call
+    exports its own) and a sharded call's partial-cache counters."""
+    metadata = {key: value for key, value in result.metadata.items() if key != "trace"}
+    if "sharding" in metadata:
+        metadata["sharding"] = {
+            key: value for key, value in metadata["sharding"].items()
+            if not key.startswith("partial_cache")
+        }
+    return metadata
+
+
+def _check_cached(first, again, label: str) -> None:
+    """The second evaluation of a call comes from the cache and is
+    identical to the first apart from the cache fields."""
+    assert again.from_cache, f"{label}: the second evaluation missed the cache"
+    _assert_identical(first, again, f"{label} (second evaluation)")
+    assert (again.semantics, again.fingerprint) == (first.semantics, first.fingerprint), label
+    assert _without_cache_fields(again) == _without_cache_fields(first), (
+        f"{label}: the cache hit changed the metadata"
+    )
+
+
+def _blame(case: _Case, *calls: tuple[str, str]) -> str:
     """The single axes of the row — or, failing those, the pairs — that
-    reproduce a mismatch on their own.  An axis that is inert without
-    another (the executor without shards) brings that one along."""
+    reproduce a mismatch in one of ``calls`` on their own, unfaulted.
+    An axis that is inert without another (the executor without shards)
+    brings that one along."""
     row = case.row
     on = [
         axis for axis, value in row.items()
@@ -245,7 +288,8 @@ def _blame(case: _Case, call: tuple[str, str]) -> str:
                 enabling = INERT[axis][0][0]
                 config[enabling] = row[enabling]
             try:
-                case.pair(config, call, "")
+                for call in calls:
+                    case.pair(config, call, "")
             except Exception:  # a mismatch, or a crash the reference has not
                 culprits.append("+".join(axes))
         if culprits:
@@ -277,7 +321,10 @@ def _check_case(case: _Case, tally: Counter) -> None:
     for result in reference.values():
         assert result.metadata["backend"]["resolved"] == "interpreter", case.label
     if row["faults"]:
-        _check_faulted(case, calls, tally)
+        try:
+            _check_faulted(case, calls, tally)
+        except AssertionError as exc:
+            raise AssertionError(f"{exc}\nunfaulted, it {_blame(case, *calls)}") from exc
         return
 
     configured = {}
@@ -291,6 +338,7 @@ def _check_case(case: _Case, tally: Counter) -> None:
         if result is None:
             continue
         configured[call] = result
+        tally["cache-checked"] += row["cache"] != "off"
         _tally_result(case, call, result, tally)
         if row["trace"]:
             _check_trace(case, call, result, label)
@@ -327,7 +375,10 @@ def _check_trace(case: _Case, call, traced, label: str) -> None:
     untraced = case.run({**case.row, "trace": False}, *call)
     assert "trace" not in untraced.metadata and traced.metadata.get("trace"), label
     stripped = {k: v for k, v in traced.metadata.items() if k != "trace"}
-    assert stripped == untraced.metadata, f"{label}: tracing changed the metadata"
+    expected = untraced.metadata
+    if case.row["cache"] != "off":  # either call may be a (partial) cache hit
+        stripped, expected = _without_cache_fields(traced), _without_cache_fields(untraced)
+    assert stripped == expected, f"{label}: tracing changed the metadata"
 
 
 def _audit_auto(case: _Case, call, auto, label: str, tally: Counter) -> None:
@@ -399,17 +450,14 @@ def _check_faulted(case: _Case, calls, tally: Counter) -> None:
         retry=RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0, seed=case.index),
     )
     # Fresh engines: their caches and breakers live through the faults
-    # and are interrogated again once the faults are gone.  Process
-    # workers forked under the plan keep it, so they get a pool of their
-    # own, closed with the plan: the replay forks fresh, unarmed ones.
-    pool = WorkerPool("process", 2)
-    drivers = _Drivers(pool)
+    # and are interrogated again once the faults are gone.  They borrow
+    # the sweep's process pool: the plan rides on each task.
+    drivers = _Drivers(case.drivers.process_pool)
     try:
         with faults_armed(plan):
             for call in calls:
                 label = f"{case.label} {call[0]} ({call[1]}) on_shard_error={options['on_shard_error']}"
                 tally["faults", _faulted_call(case, call, drivers, options, label)] += 1
-        pool.close()
         for call in calls:
             expected = case.reference(call)[0]
             if expected is not None:
@@ -417,7 +465,6 @@ def _check_faulted(case: _Case, calls, tally: Counter) -> None:
                 _assert_identical(expected, replay, f"{case.label} {call[0]} ({call[1]}) replay")
     finally:
         drivers.close()
-        pool.close()
         reset_breakers()
 
 
@@ -540,6 +587,8 @@ def sweep(rows: list[dict], cases: int = SLICE_CASES) -> Counter:
         ("faults: untouched calls", tally["faults", "ok"], faulted),
         ("faults: degraded or failed calls",
          tally["faults", "degraded"] + tally["faults", "failed"], faulted // 5),
+        ("cache: second evaluations served from the cache", tally["cache-checked"],
+         on("cache")),
         ("soundness chain checked", tally["chain"], 10),
     ]
     short = [f"{name}: {count} < {floor}" for name, count, floor in floors if count < floor]

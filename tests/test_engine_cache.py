@@ -9,7 +9,7 @@ work:
   false hit).  Keys now go through
   :func:`repro.engine.cache.canonical_option_value`, which refuses
   values it cannot render stably.
-* **Unsynchronised LRU** — ``ResultCache`` mutated an ``OrderedDict``
+* **Unsynchronised LRU** — the memory cache mutated an ``OrderedDict``
   and counters without a lock; hammering it from many threads corrupted
   the LRU order or lost updates.
 * **Stats surviving ``clear()``** — ``hit_rate`` after a reset reported
@@ -27,7 +27,7 @@ from repro import Database, Engine, Relation, Session
 from repro.engine import (
     EngineError,
     EvaluationStrategy,
-    ResultCache,
+    MemoryCacheBackend,
     StrategyCapabilities,
     StrategyOutcome,
     canonical_option_value,
@@ -192,7 +192,7 @@ def test_canonical_option_value_distinguishes_types_and_shapes():
 # Locking: the hammer
 # ----------------------------------------------------------------------
 def test_result_cache_survives_concurrent_hammering():
-    cache = ResultCache(max_size=32)
+    cache = MemoryCacheBackend(max_size=32)
     threads = 8
     ops = 2000
     errors: list[BaseException] = []
@@ -259,7 +259,7 @@ def test_shared_engine_hammered_from_many_threads(tiny_db, option_strategy):
 # Stats reset on clear
 # ----------------------------------------------------------------------
 def test_clear_resets_epoch_stats_and_keeps_lifetime():
-    cache = ResultCache(max_size=4)
+    cache = MemoryCacheBackend(max_size=4)
     cache.get("missing")            # miss
     cache.put("present", 1)
     cache.get("present")            # hit

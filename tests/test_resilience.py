@@ -23,7 +23,7 @@ import pytest
 from repro import Database, Engine
 from repro.algebra import builder as rb
 from repro.algebra.conditions import Attr, Eq
-from repro.engine import EngineError
+from repro.engine import EngineError, WorkerPool
 from repro.engine.registry import register_strategy, unregister_strategy
 from repro.engine.strategies import NaiveStrategy
 from repro.resilience import (
@@ -32,9 +32,11 @@ from repro.resilience import (
     DeadlineExceeded,
     FaultPlan,
     FaultRule,
+    InjectedFault,
     RetryPolicy,
     TransientFault,
     active_deadline,
+    armed_plan,
     breaker_for,
     deadline_scope,
     faults_armed,
@@ -482,6 +484,41 @@ def test_dead_worker_costs_one_retry(tmp_path, scripted_strategy):
     assert result.metadata["sharding"]["mode"] == "distributed"
     assert result.relation.rows_bag() == monolithic.relation.rows_bag()
     assert result.metadata["resilience"]["retries"] == 1
+
+
+@pytest.mark.timeout(60)
+def test_fault_plan_follows_tasks_into_a_warm_process_worker():
+    """A worker forked before arming still fires the plan (it rides on
+    the task), and stops firing once the plan is disarmed."""
+    db = _database()
+    plan = _cq_plan()
+    fault = FaultPlan(
+        [FaultRule(point="shard.task", error="fatal", where={"shard": 1})], seed=0
+    )
+    pool = WorkerPool("process", 1)
+    try:
+        with Engine(shards=2, executor=pool) as engine:
+            reference = engine.evaluate(plan, db, use_cache=False)  # warms the worker
+            with faults_armed(fault):
+                with pytest.raises(InjectedFault):
+                    engine.evaluate(
+                        plan, db, use_cache=False, on_shard_error="raise", retry=False
+                    )
+            again = engine.evaluate(plan, db, use_cache=False, retry=False)
+        assert again.relation.rows_bag() == reference.relation.rows_bag()
+    finally:
+        pool.close()
+
+
+def test_a_forked_child_starts_unarmed():
+    """The plan (and its locks, which a parent thread may hold at the
+    fork) never crosses a fork: a worker gets its plan with its tasks."""
+    with faults_armed(FaultPlan([FaultRule(point="shard.task")], seed=0)):
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if armed_plan() is None else 1)
+        _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 # ----------------------------------------------------------------------
