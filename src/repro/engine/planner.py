@@ -29,8 +29,9 @@ instead of crashing mid-translation.
 Rows three through six only differ in *which guarantee is affordable*:
 the sound approximation needs an algebra plan, so e.g. a calculus query
 with negation falls through to exact certain answers — but those
-enumerate valuations, so they are only picked while the estimated
-valuation space ``(|adom| + 1) ^ |nulls|`` stays under a budget
+enumerate valuations, so they are only picked while the valuation space
+they would enumerate (counted by
+:func:`repro.incomplete.certain.valuation_space`) stays under a budget
 (default ``10**4``; override per call or with the
 ``REPRO_AUTO_EXACT_BUDGET`` environment variable).
 
@@ -49,6 +50,7 @@ from typing import Any, Mapping
 
 from ..algebra.ast import walk as _walk_plan
 from ..datamodel.database import Database
+from ..incomplete.certain import valuation_space
 from .capabilities import StrategyCapabilities
 from .errors import StrategyNotApplicableError
 from .frontend import NormalizedQuery
@@ -64,10 +66,11 @@ __all__ = [
 #: Reserved strategy name that triggers planning in the engine façade.
 AUTO = "auto"
 
-#: Largest estimated valuation space for which ``exact-certain`` is an
-#: acceptable automatic choice (it enumerates valuations of the nulls
-#: over the active domain plus fresh values, so its cost is roughly
-#: ``(|adom| + 1) ^ |nulls|``).
+#: Largest valuation space for which ``exact-certain`` is an acceptable
+#: automatic choice.  The space is the one the strategy enumerates: the
+#: nulls the query reads, valued into the known constants plus fresh
+#: ones taken in first-use order (``Σ_j C(k,j)·c^(k−j)·Bell(j)`` for
+#: ``k`` nulls and ``c`` known constants without order comparisons).
 DEFAULT_EXACT_BUDGET = 10_000
 
 
@@ -153,18 +156,25 @@ def _approximation_costs(
         return None
 
 
-def _estimated_valuations(database: Database) -> int:
-    """A coarse upper-bound estimate of the valuation space of ``cert⊥``."""
-    nulls = len(database.nulls())
-    if nulls == 0:
-        return 1
-    domain = len(database.active_domain()) + 1  # + one fresh value
-    estimate = 1
-    for _ in range(nulls):
-        estimate *= domain
-        if estimate > 10**18:  # avoid giant bignums; it is over any budget
-            break
-    return estimate
+#: Reported in place of a larger valuation count: it is over any budget.
+_OVER_ANY_BUDGET = 10**18
+
+
+def _estimated_valuations(normalized: NormalizedQuery, database: Database) -> int:
+    """The number of valuations ``exact-certain`` would enumerate.
+
+    The same reduced space the strategy enumerates
+    (:func:`repro.incomplete.certain.valuation_space`), capped at
+    :data:`_OVER_ANY_BUDGET`.  The pool holds a fresh constant per null,
+    so every valued null after the first has at least two images: past
+    61 of them the count exceeds ``2**60`` and its closed form is not
+    worked out.
+    """
+    query = normalized.algebra if normalized.algebra is not None else normalized.fo
+    space = valuation_space(query, database)
+    if len(space.nulls) > 61:
+        return _OVER_ANY_BUDGET
+    return min(space.size(database), _OVER_ANY_BUDGET)
 
 
 def choose_strategy(
@@ -352,7 +362,7 @@ def choose_strategy(
 
     # 5. Exact certain answers, affordable only under a size budget.
     if applicable("exact-certain"):
-        estimate = _estimated_valuations(database)
+        estimate = _estimated_valuations(normalized, database)
         estimates.append(("exact-certain-valuations", float(estimate)))
         if estimate <= budget:
             return decision(

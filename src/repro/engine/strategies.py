@@ -346,13 +346,16 @@ class ExactCertainStrategy(EvaluationStrategy):
         optimize = bool(options.pop("optimize", False))
         self.reject_unknown_options(options)
         target = self.require_executable(query)
+        valuations: dict = {}
         if variant == "with-nulls":
             relation = certain_answers_with_nulls(
-                target, database, extra_fresh=extra_fresh, optimize=optimize
+                target, database, extra_fresh=extra_fresh, optimize=optimize,
+                counts=valuations,
             )
         elif variant == "intersection":
             relation = certain_answers_intersection(
-                target, database, extra_fresh=extra_fresh, optimize=optimize
+                target, database, extra_fresh=extra_fresh, optimize=optimize,
+                counts=valuations,
             )
         else:
             raise EngineError(
@@ -375,7 +378,7 @@ class ExactCertainStrategy(EvaluationStrategy):
             annotated=annotated,
             certain=relation,
             possible=possible,
-            metadata={"variant": variant},
+            metadata={"variant": variant, "valuations": valuations},
         )
 
 

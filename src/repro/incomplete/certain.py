@@ -18,9 +18,27 @@ benchmarks that need an exact baseline.
 
 For generic queries, it is enough to consider valuations into a finite
 pool of constants: ``Const(D)``, the constants of the query, and one
-fresh constant per null (see :mod:`repro.incomplete.worlds`).  The
-number of valuations is ``|pool| ** |Null(D)|``, so keep ``Null(D)``
-small.
+fresh constant per null (see :mod:`repro.incomplete.worlds`).  The same
+genericity allows three exact reductions, each applied wherever it is
+sound (:func:`valuation_space` decides):
+
+* **relevance** — only the nulls of the relations the plan reads are
+  valued.  Off when the plan holds a ``Dom^k`` node (it reads the whole
+  active domain) and for FO queries (quantifiers range over it);
+* **symmetry** — valuations that differ by a permutation of the fresh
+  constants give every candidate the same verdict, so the fresh
+  constants are taken in first-use order.  For ``k`` valued nulls and
+  ``c`` known constants that leaves ``Σ_j C(k,j)·c^(k−j)·Bell(j)``
+  valuations instead of ``(c+k)^k``.  Off when a condition compares by
+  order (``<``, ``≤``, ``>``, ``≥``), which tells the fresh constants
+  apart;
+* **cheaper worlds** — each world rebuilds only the relations holding a
+  valued null (:func:`repro.incomplete.worlds.iterate_worlds`).
+
+:func:`possible_answers` skips relevance: its candidates range over all
+of ``dom(D)``, so a null the query never reads can still be mapped onto
+an answer.  The space stays exponential in the number of valued nulls,
+so keep it small.
 
 Under OWA, exact computation is only offered for monotone queries
 (UCQs), where the CWA answer coincides with the OWA answer; for other
@@ -36,16 +54,17 @@ directly; everything else should go through the engine.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import NamedTuple
 
 from ..algebra import ast as ra
+from ..algebra.conditions import _OrderComparison
 from ..calculus.evaluation import FoQuery
 from ..calculus.fragments import is_ucq
 from ..datamodel.database import Database
 from ..datamodel.relation import Relation
-from ..datamodel.values import Value, is_const
+from ..datamodel.values import Null, Value, is_const, is_null
 from ..resilience import active_deadline
-from .naive import _query_constants, _run, naive_evaluate_direct
+from .naive import _conditions, _query_constants, _run, naive_evaluate_direct
 from .worlds import constant_pool, count_valuations, iterate_worlds
 
 __all__ = [
@@ -54,6 +73,8 @@ __all__ = [
     "certain_boolean",
     "certain_answers_owa",
     "possible_answers",
+    "valuation_space",
+    "ValuationSpace",
     "CERTAIN_ENUMERATION_LIMIT",
 ]
 
@@ -62,26 +83,99 @@ __all__ = [
 CERTAIN_ENUMERATION_LIMIT = 2_000_000
 
 
-def _checked_pool(query, database: Database, extra_fresh: int | None) -> list[Value]:
-    pool = constant_pool(database, _query_constants(query), extra_fresh=extra_fresh)
-    total = count_valuations(database, pool)
+class ValuationSpace(NamedTuple):
+    """What an exact enumeration values, and into what.
+
+    ``pool`` is the constant pool of Section 4.3, ``nulls`` the nulls
+    that get valued, and ``interchangeable`` the pool constants taken in
+    first-use order (empty when symmetry does not hold).  These are the
+    keywords of :func:`~repro.incomplete.worlds.iterate_worlds` and
+    :func:`~repro.incomplete.worlds.count_valuations`.
+    """
+
+    pool: list[Value]
+    nulls: frozenset[Null]
+    interchangeable: tuple[Value, ...]
+
+    def size(self, database: Database) -> int:
+        """The number of valuations in the space."""
+        return count_valuations(
+            database, self.pool, nulls=self.nulls, interchangeable=self.interchangeable
+        )
+
+
+def valuation_space(
+    query, database: Database, extra_fresh: int | None = None
+) -> ValuationSpace:
+    """The reduced valuation space of ``query`` over ``database``.
+
+    The pool is :func:`~repro.incomplete.worlds.constant_pool`'s.  Only
+    the nulls of the relations an algebra plan reads are valued (all of
+    them when the plan holds a ``Dom^k`` node, or for an FO query).  The
+    fresh constants are interchangeable unless a condition compares by
+    order.
+    """
+    query_constants = _query_constants(query)
+    pool = constant_pool(database, query_constants, extra_fresh=extra_fresh)
+    known = len(set(database.constants()) | query_constants)
+    ordered = isinstance(query, ra.Query) and any(
+        isinstance(condition, _OrderComparison) for condition in _conditions(query)
+    )
+    interchangeable = () if ordered else tuple(pool[known:])
+    read = _read_relations(query)
+    if read is None:
+        nulls = frozenset(database.nulls())
+    else:
+        nulls = set()
+        for name in read:
+            if name in database:
+                nulls |= database[name].nulls()
+        # A null the query itself carries stays valued as it is in D.
+        carried = {value for value in query_constants if is_null(value)}
+        if carried:
+            nulls |= carried & database.nulls()
+        nulls = frozenset(nulls)
+    return ValuationSpace(pool, nulls, interchangeable)
+
+
+def _read_relations(query) -> set[str] | None:
+    """The relation names an algebra plan reads; ``None`` when it reads
+    the whole active domain (a ``Dom^k`` node, or an FO query)."""
+    if not isinstance(query, ra.Query):
+        return None
+    names: set[str] = set()
+    for node in ra.walk(query):
+        if isinstance(node, (ra.DomainRelation, ra.ConstrainedDomainRelation)):
+            return None
+        if isinstance(node, ra.RelationRef):
+            names.add(node.name)
+    return names
+
+
+def _checked(space: ValuationSpace, database: Database) -> ValuationSpace:
+    total = space.size(database)
     if total > CERTAIN_ENUMERATION_LIMIT:
         raise ValueError(
             f"exact certain answers would require {total} valuations; "
             f"the limit is {CERTAIN_ENUMERATION_LIMIT} "
             "(use the approximation schemes for larger instances)"
         )
-    return pool
+    return space
 
 
-def _worlds(database: Database, pool: Sequence[Value]):
-    """``iterate_worlds`` honouring any ambient evaluation deadline.
+def _worlds(database: Database, space: ValuationSpace):
+    """``iterate_worlds`` over the space, honouring any ambient deadline.
 
     Each world costs a full query evaluation, so the check runs every
     iteration — these loops are where a blown wall-clock budget would
-    otherwise grind on for ``|pool| ** |Null(D)|`` worlds.
+    otherwise grind on through an exponential number of worlds.
     """
-    worlds = iterate_worlds(database, pool)
+    worlds = iterate_worlds(
+        database,
+        space.pool,
+        nulls=space.nulls,
+        interchangeable=space.interchangeable,
+    )
     deadline = active_deadline()
     if deadline is None:
         return worlds
@@ -94,6 +188,7 @@ def certain_answers_with_nulls(
     *,
     extra_fresh: int | None = None,
     optimize: bool = False,
+    counts: dict | None = None,
 ) -> Relation:
     """``cert⊥(Q, D)`` under CWA, by enumeration of valuations.
 
@@ -104,15 +199,30 @@ def certain_answers_with_nulls(
     ``optimize`` runs the plan optimizer before evaluation; the
     optimized plan is memoised, so the per-world loop pays the rewrite
     once and evaluates the cheaper plan in every possible world.
+
+    ``counts``, when given, is filled with the size of the enumeration:
+    ``full`` (``|pool| ** |Null(D)|``), ``relevant_nulls`` (the nulls
+    valued), ``symmetric`` (the valuations left after both reductions)
+    and ``enumerated`` (the worlds checked before every candidate was
+    refuted).
     """
     candidates = naive_evaluate_direct(query, database, optimize=optimize)
-    pool = _checked_pool(query, database, extra_fresh)
+    space = _checked(valuation_space(query, database, extra_fresh), database)
     surviving = set(candidates.rows_set())
-    for valuation, world in _worlds(database, pool):
+    enumerated = 0
+    for valuation, world in _worlds(database, space):
         if not surviving:
             break
+        enumerated += 1
         answer = _run(query, world, optimize=optimize).rows_set()
         surviving = {row for row in surviving if valuation.apply_tuple(row) in answer}
+    if counts is not None:
+        counts.update(
+            full=count_valuations(database, space.pool),
+            relevant_nulls=len(space.nulls),
+            symmetric=space.size(database),
+            enumerated=enumerated,
+        )
     return Relation(candidates.attributes, sorted(surviving, key=str))
 
 
@@ -122,13 +232,15 @@ def certain_answers_intersection(
     *,
     extra_fresh: int | None = None,
     optimize: bool = False,
+    counts: dict | None = None,
 ) -> Relation:
     """``cert∩(Q, D)`` under CWA: the null-free certain answers.
 
     By Proposition 3.10, ``cert∩(Q, D) = cert⊥(Q, D) ∩ Const^m``.
+    ``counts`` is filled as by :func:`certain_answers_with_nulls`.
     """
     with_nulls = certain_answers_with_nulls(
-        query, database, extra_fresh=extra_fresh, optimize=optimize
+        query, database, extra_fresh=extra_fresh, optimize=optimize, counts=counts
     )
     constant_rows = [row for row in with_nulls if all(is_const(v) for v in row)]
     return Relation(with_nulls.attributes, constant_rows)
@@ -136,8 +248,8 @@ def certain_answers_intersection(
 
 def certain_boolean(query, database: Database, *, extra_fresh: int | None = None) -> bool:
     """Certainty of a Boolean query: true in every possible world (CWA)."""
-    pool = _checked_pool(query, database, extra_fresh)
-    for _, world in _worlds(database, pool):
+    space = _checked(valuation_space(query, database, extra_fresh), database)
+    for _, world in _worlds(database, space):
         if not _run(query, world):
             return False
     return True
@@ -156,11 +268,15 @@ def possible_answers(
     (equation (5) of the paper gives ``Q(v(D)) ⊆ v(Q?(D))``, i.e. ``Q?``
     over-approximates possibility).  Answers are reported as tuples over
     ``dom(D)`` whose image is an answer in some world.
+
+    Every null is valued, even one the query never reads: a candidate
+    may carry it, and some valuation maps it onto an answer.
     """
     candidates = _candidate_tuples(query, database)
-    pool = _checked_pool(query, database, extra_fresh)
+    space = valuation_space(query, database, extra_fresh)
+    space = _checked(space._replace(nulls=frozenset(database.nulls())), database)
     possible: set = set()
-    for valuation, world in _worlds(database, pool):
+    for valuation, world in _worlds(database, space):
         answer = _run(query, world, optimize=optimize).rows_set()
         for row in candidates:
             if row not in possible and valuation.apply_tuple(row) in answer:

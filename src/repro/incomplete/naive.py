@@ -73,16 +73,25 @@ def _query_constants(query) -> set:
         for node in ra.walk(query):
             if isinstance(node, ra.ConstantRelation):
                 constants.update(v for row in node.rows for v in row)
-            if isinstance(node, ra.Selection):
-                stack = [node.condition]
-                while stack:
-                    condition = stack.pop()
-                    if isinstance(condition, Comparison):
-                        for term in (condition.left, condition.right):
-                            if isinstance(term, Literal):
-                                constants.add(term.value)
-                    stack.extend(condition.children())
+        for condition in _conditions(query):
+            if isinstance(condition, Comparison):
+                for term in (condition.left, condition.right):
+                    if isinstance(term, Literal):
+                        constants.add(term.value)
     return constants
+
+
+def _conditions(query: ra.Query):
+    """Every condition node (conjuncts and their parts, recursively) of
+    every plan node that filters on one: selections and constrained
+    ``Dom^k`` enumerations."""
+    for node in ra.walk(query):
+        if isinstance(node, (ra.Selection, ra.ConstrainedDomainRelation)):
+            stack = [node.condition]
+            while stack:
+                condition = stack.pop()
+                yield condition
+                stack.extend(condition.children())
 
 
 def naive_evaluate_direct(

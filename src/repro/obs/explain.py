@@ -82,7 +82,9 @@ def render_span_tree(node: Mapping[str, Any], *, indent: str = "  ") -> list[str
 
 
 #: Metadata sections surfaced ahead of the trace, in report order.
-_SECTIONS = ("plan", "backend", "sharding", "resilience", "degraded", "exact")
+_SECTIONS = (
+    "plan", "backend", "sharding", "resilience", "degraded", "exact", "valuations"
+)
 
 
 def render_explain(result: Any) -> str:

@@ -241,6 +241,16 @@ _REGISTRY: dict[tuple[str, str], CircuitBreaker] = {}
 _REGISTRY_LOCK = threading.Lock()
 
 
+def _renew_registry_lock() -> None:
+    # A forked worker keeps the registry but not a lock some other
+    # parent thread held at the fork.
+    global _REGISTRY_LOCK
+    _REGISTRY_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_renew_registry_lock)
+
+
 def breaker_for(strategy: str, backend: str, **kwargs) -> CircuitBreaker:
     """The shared breaker for one ``(strategy, backend)`` pair.
 

@@ -156,6 +156,22 @@ class TestFragmentPins:
         assert plan["guarantee"] == "none"
         assert any("budget" in why for _, why in [tuple(c) for c in plan["considered"]])
 
+    def test_exact_budget_counts_the_valuations_exact_certain_enumerates(self):
+        """Three nulls over two known constants: (2 + 3 + 1)**3 = 216 by
+        the active-domain estimate, but with the fresh constants taken
+        in first-use order exact-certain checks 8 + 12 + 12 + 5 = 37."""
+        nulls = [Null(f"p{i}") for i in range(3)]
+        database = Database(
+            {
+                "R": Relation(("a",), [("k1",), ("k2",)]),
+                "S": Relation(("a",), [(n,) for n in nulls]),
+            }
+        )
+        query = FoQuery(fo.Not(fo.RelAtom("S", [fo.Var("x")])), free=("x",))
+        plan = _plan(self._auto(Engine(auto_exact_budget=100), query, database))
+        assert plan["strategy"] == "exact-certain"
+        assert plan["estimates"]["exact-certain-valuations"] == 37
+
     def test_decision_records_considered_candidates(self, db):
         formula = fo.Not(fo.RelAtom("S", [fo.Var("x")]))
         plan = _plan(self._auto(Engine(), FoQuery(formula, free=("x",)), db))

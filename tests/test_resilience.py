@@ -16,10 +16,15 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import time
 
 import pytest
 
+import repro.algebra.optimize
+import repro.algebra.stats
+import repro.obs.metrics
+import repro.resilience.breaker
 from repro import Database, Engine
 from repro.algebra import builder as rb
 from repro.algebra.conditions import Attr, Eq
@@ -518,6 +523,43 @@ def test_a_forked_child_starts_unarmed():
         if pid == 0:
             os._exit(0 if armed_plan() is None else 1)
         _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+@pytest.mark.timeout(30)
+@pytest.mark.parametrize(
+    "lock",
+    [
+        # Read afresh on each call: the fork hook rebinds it in the child.
+        lambda: repro.algebra.optimize._MEMO_LOCK,
+        lambda: repro.algebra.stats._STATS_LOCK,
+        lambda: repro.resilience.breaker._REGISTRY_LOCK,
+        lambda: repro.obs.metrics._GLOBAL._lock,
+    ],
+    ids=["optimize-memo", "stats-memo", "breaker-registry", "metrics-registry"],
+)
+def test_a_forked_child_can_take_a_module_lock_a_parent_thread_held(lock):
+    """Workers fork from dispatcher threads while another parent thread
+    may hold a module lock; the child must not inherit it held."""
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with lock():
+            held.set()
+            release.wait(10)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(5)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if lock().acquire(timeout=2) else 1)
+    finally:
+        release.set()
+        holder.join(5)
+    _, status = os.waitpid(pid, 0)
+    assert not holder.is_alive()
     assert os.waitstatus_to_exitcode(status) == 0
 
 
