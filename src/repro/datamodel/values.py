@@ -13,6 +13,7 @@ repeat (see :mod:`repro.datamodel.codd`).
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 from typing import Any, Iterable, Iterator
 
@@ -90,6 +91,15 @@ class NullFactory:
 
 
 _GLOBAL_FACTORY = NullFactory(prefix="n")
+
+
+def _renew_global_factory_lock() -> None:
+    # A forked worker keeps the label counter but not a lock some other
+    # parent thread held at the fork.
+    _GLOBAL_FACTORY._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_renew_global_factory_lock)
 
 
 def fresh_null() -> Null:

@@ -15,11 +15,12 @@ frozen record, so the ``strategy="auto"`` planner
 the same declaration instead of each keeping their own table.
 
 The record is *declarative*: plain strings and frozensets only, no
-callables and no references to strategy code.  Shardable operators are
-named by their :mod:`repro.algebra.ast` class names and merge functions
-by their registered names (see
-:func:`repro.sharding.evaluate.register_shard_merge`), which keeps a
-capability record printable, picklable, and comparable in tests.
+callables and no references to strategy code.  Operators are named by
+their :mod:`repro.algebra.ast` class names, which keeps a capability
+record printable, picklable, and comparable in tests.  How a sharded
+run is merged is not declared here: the merge unions the shards'
+relations and hands the union to the strategy's own
+:meth:`~repro.engine.registry.EvaluationStrategy.finish`.
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ class StrategyCapabilities:
     * ``plan_ops`` — when not ``None``, the algebra operator class names
       the strategy can consume in a plan (the Figure 2 translations are
       defined on the core operators only); the ``auto`` planner skips
-      the strategy for plans using anything else.  ``None`` declares no
-      restriction (a literal evaluator).
+      the strategy for plans using anything else, and the engine refuses
+      such a plan for an explicitly named strategy before it runs (one
+      gate: :func:`repro.engine.planner.unsupported_plan_ops`).  ``None``
+      declares no restriction (a literal evaluator).
     * ``optimize`` — understands the engine's ``optimize=`` option
       (plan optimization via :mod:`repro.algebra.optimize`).  The engine
       only forwards the option — and only includes it in cache keys —
@@ -87,10 +90,10 @@ class StrategyCapabilities:
       (and cache-key) the ``backend=`` option.
     * ``shardable_ops`` / ``shardable_bag_ops`` — operator class names
       allowed on the partitioned lineage of a shard plan
-      (:func:`repro.sharding.planner.shard_plan`); empty means the
+      (:func:`repro.sharding.planner.shard_plan`); declaring them makes
+      the strategy shard-aware: its per-shard relations are unioned and
+      finished once (:mod:`repro.sharding.evaluate`).  Empty means the
       strategy always evaluates coalesced on a sharded database.
-    * ``shard_merge`` — registered name of the function merging per-shard
-      partial outcomes (:data:`repro.sharding.evaluate.SHARD_MERGES`).
     * ``cost`` — a coarse hint ordering strategies for the planner:
       ``"polynomial"`` or ``"exponential"`` (data complexity of a single
       evaluation; ``"unknown"`` sorts last).
@@ -108,7 +111,6 @@ class StrategyCapabilities:
     backends: tuple[str, ...] = ("interpreter",)
     shardable_ops: frozenset[str] = frozenset()
     shardable_bag_ops: frozenset[str] | None = None
-    shard_merge: str | None = None
     cost: str = "unknown"
 
     def __post_init__(self) -> None:
@@ -186,7 +188,6 @@ class StrategyCapabilities:
                 if self.shardable_bag_ops is None
                 else sorted(self.shardable_bag_ops)
             ),
-            "shard_merge": self.shard_merge,
             "cost": self.cost,
         }
 

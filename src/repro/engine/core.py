@@ -43,7 +43,13 @@ from .cache import (
 from .drive import Compute, Dispatch, answer_sync, drive
 from .errors import StrategyNotApplicableError
 from .frontend import NormalizedQuery, normalize_query
-from .planner import AUTO, PlanDecision, choose_strategy, default_exact_budget
+from .planner import (
+    AUTO,
+    PlanDecision,
+    choose_strategy,
+    default_exact_budget,
+    unsupported_plan_ops,
+)
 from .registry import EvaluationStrategy, available_strategies, get_strategy
 from .result import QueryResult
 from .spec import CALL_FIELDS, ENGINE_KEYWORDS, CallSpec, check_settings
@@ -362,7 +368,8 @@ class Engine:
         kwargs: dict[str, Any],
     ) -> Iterator[PreparedCall]:
         """Resolve one call: spec, trace root, normalization, planning,
-        options, deadline admission and sharding.
+        the strategy's semantics and ``plan_ops`` gates, options,
+        deadline admission and sharding.
 
         ``kwargs`` holds the call's :class:`CallSpec` overrides and its
         strategy options; the trace root (when tracing) stays open for
@@ -390,6 +397,13 @@ class Engine:
                 raise StrategyNotApplicableError(
                     f"strategy {strat.name!r} supports {strat.supported_semantics} "
                     f"semantics, not {spec.semantics!r}"
+                )
+            unsupported = unsupported_plan_ops(strat.capabilities, normalized, spec.semantics)
+            if unsupported:
+                raise StrategyNotApplicableError(
+                    f"strategy {strat.name!r} is defined on the operators "
+                    f"{sorted(strat.capabilities.plan_ops)} only; this plan uses "
+                    f"{unsupported}"
                 )
             options = _fold_options(strat, spec, kwargs)
             deadline = resolve_deadline(spec.timeout)

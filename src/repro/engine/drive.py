@@ -20,9 +20,6 @@ Steps:
 * :class:`Submit`, :class:`Wait`, :class:`Sleep` — the only primitives
   :func:`run_tasks` needs: ``concurrent.futures``/:func:`time.sleep`
   in :func:`drive`, :mod:`asyncio` in :func:`drive_async`.
-* :class:`RunInline` — the sync fast path: a plain ``executor.run``
-  (which runs a lone task inline).  The async driver declines it, so the
-  event loop never blocks.
 
 The sync driver never creates or enters an event loop.
 """
@@ -41,7 +38,6 @@ from ..resilience import Deadline, DeadlineExceeded, RetryPolicy
 __all__ = [
     "Compute",
     "Dispatch",
-    "RunInline",
     "Sleep",
     "Submit",
     "Wait",
@@ -92,15 +88,6 @@ class Wait:
 @dataclass(frozen=True)
 class Sleep:
     seconds: float
-
-
-@dataclass(frozen=True)
-class RunInline:
-    """Run every task with a blocking ``executor.run``; answered with the
-    results in order, or ``None`` when the driver must not block."""
-
-    executor: Any
-    tasks: Sequence[Any]
 
 
 def completed_future(fn: Callable[..., Any], *args: Any) -> concurrent.futures.Future:
@@ -154,15 +141,11 @@ def run_tasks(
     the process pool that terminates a sibling already running.
 
     ``executor`` is a :class:`~repro.engine.workers.WorkerPool` (or
-    anything with its ``submit``/``run``).  A dead worker fails only its
+    anything with its ``submit``).  A dead worker fails only its
     own task, which is retried like any transient failure.  Each
     :class:`~repro.engine.workers.TaskResult` that carries a worker span
     tree is grafted under the span live around the fan-out.
     """
-    if on_error == "raise" and retry is None and deadline is None:
-        inline = yield RunInline(executor, tasks)
-        if inline is not None:
-            return _grafted(list(inline)), {}, 0
     results: list[Any] = [None] * len(tasks)
     failures: dict[int, str] = {}
     retries = 0
@@ -282,8 +265,6 @@ def answer_sync(step: Any) -> Any:
     if isinstance(step, Sleep):
         time.sleep(step.seconds)
         return None
-    if isinstance(step, RunInline):
-        return step.executor.run(step.tasks)
     raise TypeError(f"unexpected step {step!r}")
 
 
@@ -298,7 +279,5 @@ async def answer_async(step: Any) -> Any:
         return done
     if isinstance(step, Sleep):
         await asyncio.sleep(step.seconds)
-        return None
-    if isinstance(step, RunInline):
         return None
     raise TypeError(f"unexpected step {step!r}")

@@ -59,6 +59,7 @@ from .registry import available_strategies
 __all__ = [
     "PlanDecision",
     "choose_strategy",
+    "unsupported_plan_ops",
     "DEFAULT_EXACT_BUDGET",
     "default_exact_budget",
 ]
@@ -177,6 +178,32 @@ def _estimated_valuations(normalized: NormalizedQuery, database: Database) -> in
     return min(space.size(database), _OVER_ANY_BUDGET)
 
 
+def unsupported_plan_ops(
+    caps: StrategyCapabilities, normalized: NormalizedQuery, semantics: str
+) -> list[str]:
+    """The operators of the query's plan outside the declared ``plan_ops``.
+
+    The one gate on ``plan_ops``: the planner skips a strategy for which
+    this is non-empty, and the engine refuses an explicitly named one
+    with the skippable :class:`~repro.engine.errors.StrategyNotApplicableError`
+    before it runs (SQL-compiled ``[NOT] IN``/``[NOT] EXISTS`` plans
+    land here: their semijoins/antijoins have no Figure 2 or c-table
+    reading).  Empty when the strategy declares no restriction, the
+    query has no algebra plan, or the query also offers a non-algebra
+    form the strategy consumes, which it can take instead.
+    """
+    if caps.plan_ops is None or normalized.algebra is None:
+        return []
+    used = {type(node).__name__ for node in _walk_plan(normalized.algebra)}
+    unsupported = sorted(used - caps.plan_ops)
+    if unsupported and any(
+        form != "algebra" and form in normalized.forms()
+        for form in caps.requires_for(semantics)
+    ):
+        return []
+    return unsupported
+
+
 def choose_strategy(
     normalized: NormalizedQuery,
     database: Database,
@@ -198,13 +225,6 @@ def choose_strategy(
     forms = normalized.forms()
     fragment = normalized.fragment
     considered: list[tuple[str, str]] = []
-    plan_op_names = (
-        None
-        if normalized.algebra is None
-        else frozenset(
-            type(node).__name__ for node in _walk_plan(normalized.algebra)
-        )
-    )
 
     def applicable(name: str) -> bool:
         caps = table.get(name)
@@ -221,27 +241,10 @@ def choose_strategy(
                 )
             )
             return False
-        # A strategy with declared plan_ops (the Figure 2 translations
-        # raise on division and the join conveniences) must not be
-        # handed a plan outside them — unless the query also offers a
-        # non-algebra form the strategy consumes, in which case it can
-        # take that path instead.
-        if (
-            caps.plan_ops is not None
-            and plan_op_names is not None
-            and not plan_op_names <= caps.plan_ops
-        ):
-            other_forms = [
-                form
-                for form in caps.requires_for(semantics)
-                if form != "algebra" and form in forms
-            ]
-            if not other_forms:
-                unsupported = sorted(plan_op_names - caps.plan_ops)
-                considered.append(
-                    (name, f"plan uses unsupported operators {unsupported}")
-                )
-                return False
+        unsupported = unsupported_plan_ops(caps, normalized, semantics)
+        if unsupported:
+            considered.append((name, f"plan uses unsupported operators {unsupported}"))
+            return False
         return True
 
     estimates: list[tuple[str, float]] = []

@@ -138,6 +138,27 @@ class EvaluationStrategy:
     ) -> StrategyOutcome:
         raise NotImplementedError
 
+    def finish(
+        self,
+        outcome: StrategyOutcome,
+        *,
+        database: Database,
+        normalized: NormalizedQuery,
+        semantics: str,
+    ) -> StrategyOutcome:
+        """Turn the relations of an outcome into the full outcome.
+
+        :meth:`run` returns the relations (``answer``, ``certain``,
+        ``possible``, ``certainly_false``) and the backend note; this
+        adds what follows from them — per-row annotations, the exactness
+        claim and the rest of the metadata.  A whole-query run is
+        finished on its own database; a sharded run unions the shards'
+        unfinished relations and is finished once on the coalesced
+        database, so both paths build the claim with the same code.
+        The default returns the outcome unchanged.
+        """
+        return outcome
+
     # ------------------------------------------------------------------
     # Helpers for pulling the required lowered form out of the query
     # ------------------------------------------------------------------

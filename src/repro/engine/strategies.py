@@ -24,6 +24,7 @@ single call:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any
 
 from ..ctables.strategies import STRATEGIES as CTABLE_VARIANTS
@@ -79,7 +80,7 @@ _TRANSLATION_SHARD_OPS = frozenset(
 #: Plan operators the Figure 2 translations are defined on: the core
 #: algebra plus what :func:`repro.approx.normalize.normalize_for_translation`
 #: rewrites into it (∩ → −).  Division and the join conveniences raise
-#: there, so the ``auto`` planner must not route such plans here.
+#: there, so the engine's ``plan_ops`` gate keeps such plans away.
 _TRANSLATION_PLAN_OPS = frozenset(
     {
         "RelationRef",
@@ -112,26 +113,6 @@ _CTABLES_PLAN_OPS = frozenset(
         "Intersection",
     }
 )
-
-def _require_plan_ops(name: str, algebra, allowed: frozenset[str], what: str):
-    """Reject plans using operators outside a strategy's implemented set.
-
-    The ``auto`` planner already skips these strategies via their
-    declared ``plan_ops``; this is the same gate for *explicitly* named
-    strategies, raising the skippable not-applicable error instead of
-    letting the pipeline crash mid-way.  (SQL-compiled
-    ``[NOT] IN``/``[NOT] EXISTS`` plans land here: their
-    semijoins/antijoins have no Figure 2 or c-table reading.)
-    """
-    from ..algebra.ast import walk
-
-    used = {type(node).__name__ for node in walk(algebra)}
-    unsupported = sorted(used - allowed)
-    if unsupported:
-        raise StrategyNotApplicableError(
-            f"strategy {name!r} {what}; this plan uses {unsupported}"
-        )
-
 
 def _interpreter_only(backend: str, reason: str) -> dict[str, str]:
     """Backend metadata for a path with no plan to push into SQLite.
@@ -261,7 +242,6 @@ class NaiveStrategy(EvaluationStrategy):
         backends=("interpreter", "sqlite"),
         shardable_ops=_NAIVE_SHARD_OPS,
         shardable_bag_ops=_NAIVE_BAG_SHARD_OPS,
-        shard_merge="naive-union",
         cost="polynomial",
     )
     description = "naïve evaluation; exact on the fragments of Theorem 4.4"
@@ -306,21 +286,30 @@ class NaiveStrategy(EvaluationStrategy):
             )
             relation = execution.relations[0]
             backend_meta = execution.as_metadata()
+        return StrategyOutcome(answer=relation, metadata={"backend": backend_meta})
+
+    def finish(
+        self, outcome: StrategyOutcome, *, database: Database,
+        normalized: NormalizedQuery, semantics: str,
+    ) -> StrategyOutcome:
         # Theorem 4.4 (CWA): on the declared fragments — classified for
         # calculus and algebra/SQL frontends alike by normalize_query —
-        # the naïve answer is exactly the set of certain answers.
+        # the naïve answer is exactly the set of certain answers.  The
+        # claim reads only the answer and the whole database, never an
+        # incoming ``certain``: a shard's completeness says nothing
+        # about the coalesced database.
         exact = database.is_complete() or self.capabilities.exact_on_fragment(
-            query.fragment
+            normalized.fragment
         )
         status = Certainty.CERTAIN if exact else Certainty.POSSIBLE
-        return StrategyOutcome(
-            answer=relation,
-            annotated=annotate(relation, status, bag=bag),
-            certain=relation if exact else None,
+        return replace(
+            outcome,
+            annotated=annotate(outcome.answer, status, bag=semantics == "bag"),
+            certain=outcome.answer if exact else None,
             metadata={
-                "fragment": query.fragment,
+                "fragment": normalized.fragment,
                 "exact": exact,
-                "backend": backend_meta,
+                **outcome.metadata,
             },
         )
 
@@ -403,12 +392,6 @@ class Libkin16Strategy(EvaluationStrategy):
         stats = bool(options.pop("stats", False))
         self.reject_unknown_options(options)
         algebra = self.require_algebra(query)
-        _require_plan_ops(
-            self.name,
-            algebra,
-            _TRANSLATION_PLAN_OPS,
-            "translates core-operator plans only (σ, π, ρ, ×, ∪, −, ∩)",
-        )
         pair = translate_libkin16(algebra, database.schema())
         # One interpreter batch for all three plans: Qt, Qf (and the naïve
         # check) share large subtrees almost verbatim, so the per-database
@@ -459,7 +442,6 @@ class Guagliardo16Strategy(EvaluationStrategy):
         stats=True,
         backends=("interpreter", "sqlite"),
         shardable_ops=_TRANSLATION_SHARD_OPS,
-        shard_merge="certain-possible-union",
         cost="polynomial",
     )
     description = "(Q+, Q?) rewriting; sound with small overhead (experiment E4)"
@@ -470,12 +452,6 @@ class Guagliardo16Strategy(EvaluationStrategy):
         backend = str(options.pop("backend", "interpreter"))
         self.reject_unknown_options(options)
         algebra = self.require_algebra(query)
-        _require_plan_ops(
-            self.name,
-            algebra,
-            _TRANSLATION_PLAN_OPS,
-            "translates core-operator plans only (σ, π, ρ, ×, ∪, −, ∩)",
-        )
         pair = translate_guagliardo16(algebra, database.schema())
         execution = execute_plans(
             [pair.certain, pair.possible],
@@ -486,17 +462,27 @@ class Guagliardo16Strategy(EvaluationStrategy):
             strategy=self.name,
         )
         certain, possible = execution.relations
-        annotated = annotate(certain, Certainty.CERTAIN) + tuple(
-            AnnotatedTuple(row, Certainty.POSSIBLE)
-            for row in possible.sorted_rows()
-            if row not in certain
-        )
         return StrategyOutcome(
             answer=certain,
-            annotated=annotated,
             certain=certain,
             possible=possible,
-            metadata={"scheme": "figure-2b", "backend": execution.as_metadata()},
+            metadata={"backend": execution.as_metadata()},
+        )
+
+    def finish(
+        self, outcome: StrategyOutcome, *, database: Database,
+        normalized: NormalizedQuery, semantics: str,
+    ) -> StrategyOutcome:
+        certain = outcome.certain
+        annotated = annotate(certain, Certainty.CERTAIN) + tuple(
+            AnnotatedTuple(row, Certainty.POSSIBLE)
+            for row in outcome.possible.sorted_rows()
+            if row not in certain
+        )
+        return replace(
+            outcome,
+            annotated=annotated,
+            metadata={"scheme": "figure-2b", **outcome.metadata},
         )
 
 
@@ -523,12 +509,6 @@ class CTablesStrategy(EvaluationStrategy):
                 f"unknown c-table variant {variant!r}; expected one of {CTABLE_VARIANTS}"
             )
         algebra = self.require_algebra(query)
-        _require_plan_ops(
-            self.name,
-            algebra,
-            _CTABLES_PLAN_OPS,
-            "conditionally evaluates core-operator plans only",
-        )
         if optimize:
             # Logical rules only: the conditional evaluator manipulates
             # symbolic conditions and cannot execute the physical

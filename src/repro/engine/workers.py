@@ -16,8 +16,8 @@ inline — or one shard of a sharded query
   and, when traced, the worker's exported span tree).
 * :class:`WorkerPool` — runs tasks serially, on a thread pool or on
   the cancellable process pool
-  (:mod:`repro.engine.process_pool`), behind the ``submit``/``run``/
-  ``close``/``kind`` surface :func:`~repro.engine.drive.run_tasks`
+  (:mod:`repro.engine.process_pool`), behind the ``submit``/``close``/
+  ``kind`` surface :func:`~repro.engine.drive.run_tasks`
   drives.  It is the one pool of the shard fan-out, the async engine
   and the server.
 
@@ -32,8 +32,8 @@ import concurrent.futures
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
-from typing import Any, Hashable, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Hashable
 
 from ..datamodel.database import Database
 from ..obs.trace import SpanContext
@@ -100,8 +100,12 @@ def run_task(task: Task) -> TaskResult:
     runs ``repro.engine.__init__`` and thereby registers the built-in
     strategies before the lookup by name.  A traced task opens a
     ``worker`` root (whole query) or a ``shard[i]`` root (shard task);
-    the ``shard.task`` fault point fires for shard tasks only, and a
-    shard outcome comes back without per-row annotations.
+    the ``shard.task`` fault point fires for shard tasks only.  A
+    whole-query outcome is finished here
+    (:meth:`~repro.engine.registry.EvaluationStrategy.finish`); a shard
+    outcome comes back unfinished — its relations and backend note only —
+    because the sharded merge unions the shards' relations and finishes
+    the union once, on the coalesced database.
     """
     if task.shard is None:
         name, attrs = "worker", {"strategy": task.strategy}
@@ -121,14 +125,16 @@ def run_task(task: Task) -> TaskResult:
                 semantics=task.semantics,
                 **dict(task.options),
             )
+            if task.shard is None:
+                outcome = strategy.finish(
+                    outcome,
+                    database=task.database,
+                    normalized=task.normalized,
+                    semantics=task.semantics,
+                )
         elapsed = time.perf_counter() - start
         if root is not None:
             root.incr("rows_out", len(outcome.answer))
-    if task.shard is not None:
-        # Shard merges rebuild the per-row annotations from the answer
-        # relations; shipping and caching them would only cost pickling
-        # time and memory.
-        outcome = replace(outcome, annotated=())
     return TaskResult(
         outcome=outcome,
         elapsed=elapsed,
@@ -194,7 +200,7 @@ class WorkerPool:
     ``WorkerPool`` passed in as ``pool=``/``executor=`` is borrowed and
     never closed by the engine.  ``close`` releases the workers (a
     later ``submit`` spawns fresh ones).  Subclasses overriding
-    ``submit``/``run`` need not call ``__init__``.
+    ``submit`` need not call ``__init__``.
     """
 
     kind: str = "serial"
@@ -218,13 +224,6 @@ class WorkerPool:
         if self.kind == "serial":
             return completed_future(run_task, task)
         return self._pool().submit(self._entry, task)
-
-    def run(self, tasks: Sequence[Task]) -> list[TaskResult]:
-        """Run every task and block for the results (the sync fast path;
-        a lone task runs inline)."""
-        if self.kind == "serial" or len(tasks) <= 1:
-            return [run_task(task) for task in tasks]
-        return list(self._pool().map(self._entry, tasks))
 
     def close(self) -> None:
         """Shut down the workers, cancelling tasks not yet started."""

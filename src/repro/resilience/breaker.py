@@ -242,10 +242,13 @@ _REGISTRY_LOCK = threading.Lock()
 
 
 def _renew_registry_lock() -> None:
-    # A forked worker keeps the registry but not a lock some other
-    # parent thread held at the fork.
+    # A forked worker keeps the registry and its breakers but not a lock
+    # some other parent thread held at the fork: workers take a
+    # breaker's own lock on every plan they execute.
     global _REGISTRY_LOCK
     _REGISTRY_LOCK = threading.Lock()
+    for breaker in _REGISTRY.values():
+        breaker._lock = threading.Lock()
 
 
 os.register_at_fork(after_in_child=_renew_registry_lock)

@@ -36,14 +36,15 @@ Layers:
   pool (:class:`repro.engine.workers.WorkerPool`), which runs shard
   tasks serially, on threads or on processes;
 * :mod:`repro.sharding.evaluate` — orchestration, per-shard caching and
-  strategy-specific merging.
+  merging (a union of the shards' relations, finished once by the
+  strategy's own ``finish``).
 """
 
 from functools import partial
 
 from ..engine.workers import WorkerPool
 from .database import SHARD_SUFFIX, ShardedDatabase, shard_relation_name
-from .evaluate import SHARD_MERGES, evaluate_sharded, register_shard_merge
+from .evaluate import evaluate_sharded
 from .partition import HashPartitioner, Partitioner, RoundRobinPartitioner
 from .planner import NonDistributableError, ShardPlan, shard_plan
 
@@ -69,7 +70,5 @@ __all__ = [
     "SerialShardExecutor",
     "ThreadShardExecutor",
     "ProcessShardExecutor",
-    "SHARD_MERGES",
-    "register_shard_merge",
     "evaluate_sharded",
 ]

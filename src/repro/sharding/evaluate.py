@@ -7,8 +7,8 @@ sync and the async engine drive.  The flow:
 
 1. read the strategy's shard-distribution declaration from its
    :class:`~repro.engine.capabilities.StrategyCapabilities` record
-   (``shardable_ops``/``shardable_bag_ops`` + the ``shard_merge`` name
-   resolved through :data:`SHARD_MERGES`); strategies that declare no
+   (``shardable_ops``/``shardable_bag_ops``: a strategy is shard-aware
+   exactly when it declares them); strategies that declare no
    lineage operators — because their correctness argument does not
    survive horizontal partitioning (``sql-3vl`` plans from the SQL text,
    not from the shard planner's algebra, ``exact-certain`` and ``ctables`` intersect over valuations — a
@@ -26,10 +26,15 @@ sync and the async engine drive.  The flow:
 4. fan the cache misses out as :class:`~repro.engine.workers.Task`
    objects (the rewritten plan is normalized once, here) through the
    shard worker pool under the resilience contract
-   (:func:`repro.engine.drive.run_tasks`) and merge the per-shard
-   :class:`~repro.engine.registry.StrategyOutcome` objects with the
-   strategy-specific merge function, reproducing exactly what the
-   monolithic strategy would have returned.
+   (:func:`repro.engine.drive.run_tasks`);
+5. merge: union each relation field of the shards' unfinished
+   :class:`~repro.engine.registry.StrategyOutcome` objects
+   (bag-additively under bags) and hand the union to the strategy's own
+   :meth:`~repro.engine.registry.EvaluationStrategy.finish` once, on the
+   coalesced database.  The annotations and the exactness claim (naïve
+   evaluation's Theorem 4.4, the Figure 2b pair) are thereby built by
+   the same code as on the monolithic path; a shard's own completeness
+   never reaches the claim.
 
 The call's ``optimize``/``stats``/``backend`` settings ride along in the
 task options (and hence in the partial cache keys), so each fragment's
@@ -52,12 +57,11 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 from ..datamodel.database import Database
 from ..datamodel.relation import Relation
 from ..engine.cache import CacheBackend, canonical_options, database_fingerprint
-from ..engine.capabilities import StrategyCapabilities
 from ..engine.drive import Dispatch, run_tasks
 from ..engine.errors import EngineError
 from ..engine.frontend import NormalizedQuery, normalize_query
-from ..engine.registry import EvaluationStrategy, StrategyOutcome, annotate
-from ..engine.result import AnnotatedTuple, Certainty, QueryResult
+from ..engine.registry import StrategyOutcome
+from ..engine.result import QueryResult
 from ..engine.workers import Task, TaskResult, WorkerPool
 from ..obs import metrics as obs_metrics
 from ..obs.trace import SpanContext, span
@@ -68,17 +72,14 @@ from .planner import NonDistributableError, ShardPlan, shard_plan
 if TYPE_CHECKING:
     from ..engine.core import PreparedCall
 
-__all__ = [
-    "SHARD_MERGES",
-    "register_shard_merge",
-    "evaluate_sharded",
-]
+__all__ = ["evaluate_sharded"]
 
-MergeFn = Callable[..., StrategyOutcome]
+#: The relation fields of a :class:`StrategyOutcome` a merge unions.
+_RELATION_FIELDS = ("answer", "certain", "possible", "certainly_false")
 
 
 # ----------------------------------------------------------------------
-# Merging partial results (must mirror the strategies' own outcomes)
+# Merging partial results
 # ----------------------------------------------------------------------
 def _union_relations(relations: Sequence[Relation], *, bag: bool) -> Relation:
     attributes = relations[0].attributes
@@ -93,95 +94,26 @@ def _union_relations(relations: Sequence[Relation], *, bag: bool) -> Relation:
     return Relation(attributes, rows)
 
 
-def merge_naive(
-    partials: Sequence[StrategyOutcome],
-    *,
-    semantics: str,
-    database: Database,
-    normalized: NormalizedQuery | None = None,
-    strategy: EvaluationStrategy | None = None,
+def _merge_partials(
+    partials: Sequence[StrategyOutcome], *, bag: bool
 ) -> StrategyOutcome:
-    """Union of per-shard naïve answers (bag-additive under bags).
+    """Union the shards' unfinished outcomes, field by field.
 
-    Mirrors :class:`repro.engine.strategies.NaiveStrategy`, including
-    the Theorem 4.4 exactness claim: the merged answer is exact when the
-    coalesced database is complete or the query's fragment is one the
-    strategy declares ``exact_on`` — the same capability record the
-    monolithic path consults, so distributed and monolithic results stay
-    tuple-for-tuple identical (annotations and side relations included).
+    Each relation field is unioned (bag-additively under bags) and kept
+    only when every partial has one; the backend notes are merged by
+    :func:`_merged_backend_metadata`.  The shard planner's lineage
+    rewrite makes the union of every field exactly the monolithic
+    relation (σ/π/ρ/×/∪ and, for naïve evaluation, ⋈/⋉/∩ distribute
+    over a partition of the lineage), so what is left to do is what the
+    strategy's own ``finish`` does with a monolithic outcome.
     """
-    bag = semantics == "bag"
-    answer = _union_relations([p.answer for p in partials], bag=bag)
-    fragment = normalized.fragment if normalized is not None else None
-    exact = database.is_complete() or (
-        strategy is not None
-        and strategy.capabilities is not None
-        and strategy.capabilities.exact_on_fragment(fragment)
-    )
-    status = Certainty.CERTAIN if exact else Certainty.POSSIBLE
-    return StrategyOutcome(
-        answer=answer,
-        annotated=annotate(answer, status, bag=bag),
-        certain=answer if exact else None,
-        metadata={"fragment": fragment, "exact": exact},
-    )
+    fields = {}
+    for name in _RELATION_FIELDS:
+        relations = [getattr(partial, name) for partial in partials]
+        if all(relation is not None for relation in relations):
+            fields[name] = _union_relations(relations, bag=bag)
+    return StrategyOutcome(**fields, metadata=_merged_backend_metadata(partials))
 
-
-def merge_guagliardo16(
-    partials: Sequence[StrategyOutcome],
-    *,
-    semantics: str,
-    database: Database,
-    normalized: NormalizedQuery | None = None,
-    strategy: EvaluationStrategy | None = None,
-) -> StrategyOutcome:
-    """Union the per-shard (Q+, Q?) pairs.
-
-    Both translations are compositional along σ/π/ρ/×/∪, so the union of
-    the per-fragment certain (resp. possible) answers is exactly the
-    monolithic ``Q+`` (resp. ``Q?``) answer.
-    """
-    certain = _union_relations([p.certain for p in partials], bag=False)
-    possible = _union_relations([p.possible for p in partials], bag=False)
-    annotated = annotate(certain, Certainty.CERTAIN) + tuple(
-        AnnotatedTuple(row, Certainty.POSSIBLE)
-        for row in possible.sorted_rows()
-        if row not in certain
-    )
-    return StrategyOutcome(
-        answer=certain,
-        annotated=annotated,
-        certain=certain,
-        possible=possible,
-        metadata={"scheme": "figure-2b"},
-    )
-
-
-#: Named merge functions resolvable from a strategy's declarative
-#: ``capabilities.shard_merge`` entry (capability records carry names,
-#: never callables).  Third-party strategies register theirs through
-#: :func:`register_shard_merge`.
-SHARD_MERGES: dict[str, MergeFn] = {
-    "naive-union": merge_naive,
-    "certain-possible-union": merge_guagliardo16,
-}
-
-
-def register_shard_merge(name: str, merge: MergeFn) -> None:
-    """Register a merge function under a capability-referencable name.
-
-    The function receives ``(partials, *, semantics, database,
-    normalized, strategy)`` and must return a
-    :class:`~repro.engine.registry.StrategyOutcome` mirroring what the
-    monolithic strategy would have produced.
-    """
-    SHARD_MERGES[name] = merge
-
-
-#: Merge names whose output over a *subset* of partials is a subset of
-#: the full merge — the structural half of the ``"degrade"`` gate (both
-#: built-in merges are plain unions, hence monotone in their inputs).
-_DEGRADABLE_MERGES = frozenset({"naive-union", "certain-possible-union"})
 
 #: Query fragments preserved under sub-databases: for monotone queries
 #: ``Q(D') ⊆ Q(D)`` whenever ``D' ⊆ D``, so answers over the surviving
@@ -189,28 +121,16 @@ _DEGRADABLE_MERGES = frozenset({"naive-union", "certain-possible-union"})
 _MONOTONE_FRAGMENTS = frozenset({"CQ", "UCQ"})
 
 
-def _shard_merge(strategy: EvaluationStrategy) -> MergeFn | None:
-    """The merge of a strategy that declares shard lineage, else None."""
-    caps = strategy.capabilities
-    if not caps.shardable_ops or caps.shard_merge is None:
-        return None
-    return SHARD_MERGES.get(caps.shard_merge)
-
-
-def _degrade_blocker(
-    caps: StrategyCapabilities, normalized: NormalizedQuery
-) -> str | None:
+def _degrade_blocker(normalized: NormalizedQuery) -> str | None:
     """Why ``on_shard_error="degrade"`` is not sound here (None = it is).
 
-    Both halves of the gate must hold: the merge must be union-style
-    (subset of partials ⇒ subset of the merge) *and* the query fragment
+    Every merge is a union, so a subset of the partials merges to a
+    subset of the full merge; what remains is that the query fragment
     must be monotone (subset of the data ⇒ subset of the answer).
     Non-monotone plans (difference, division) can return *wrong* rows —
     not merely fewer — when a shard's data goes missing, so they are
     never degraded.
     """
-    if caps.shard_merge not in _DEGRADABLE_MERGES:
-        return "the strategy's shard merge does not tolerate missing shards"
     fragment = normalized.fragment
     if fragment not in _MONOTONE_FRAGMENTS:
         return (
@@ -275,7 +195,6 @@ def _task_database(
 class _PlannedShardedCall:
     """A distributable call, cache-probed and ready for its executor."""
 
-    merge: MergeFn
     plan: ShardPlan
     partials: list  # StrategyOutcome | None per shard; cached ones filled in
     tasks: list[Task]
@@ -289,8 +208,7 @@ def _plan_sharded_call(
     """Plan one sharded call: ``(reason, None)`` means coalesced fallback."""
     strategy, normalized, database = call.strategy, call.normalized, call.database
     semantics, options, cache = call.spec.semantics, call.options, call.cache
-    merge = _shard_merge(strategy)
-    if merge is None:
+    if not strategy.capabilities.shardable_ops:
         return f"strategy {strategy.name!r} is not shard-aware", None
     if normalized.algebra is None:
         return (
@@ -358,7 +276,7 @@ def _plan_sharded_call(
         if tasks:
             planning.incr("partial_cache_misses", len(tasks))
     return None, _PlannedShardedCall(
-        merge=merge, plan=plan, partials=partials, tasks=tasks, hits=hits, start=start
+        plan=plan, partials=partials, tasks=tasks, hits=hits, start=start
     )
 
 
@@ -393,12 +311,11 @@ def _absorb_partials(
 def _merged_backend_metadata(partials: Sequence[StrategyOutcome]) -> dict[str, Any]:
     """Aggregate the per-shard backend decisions into one metadata note.
 
-    Merge functions rebuild outcome metadata from scratch, so the
-    execution-backend decision each shard's strategy call recorded
-    (``metadata["backend"]`` — see :mod:`repro.exec`) would be lost.
-    When every shard resolved to the same backend the shared note is
-    reused; shards that diverged (e.g. one fragment held a value the SQL
-    compiler cannot encode) are reported as ``resolved: "mixed"``.
+    The note rides on the merged outcome into the strategy's ``finish``,
+    which keeps it like the note of a monolithic run.  When every shard
+    resolved to the same backend the shared note is reused; shards that
+    diverged (e.g. one fragment held a value the SQL compiler cannot
+    encode) are reported as ``resolved: "mixed"``.
     """
     notes = [p.metadata.get("backend") for p in partials if p.metadata]
     notes = [note for note in notes if note]
@@ -430,15 +347,12 @@ def _finish_sharded(
             "every shard failed; nothing to degrade to "
             f"(failures: {dict(failures)})"
         )
-    with span(
-        "shard.merge", merge=getattr(planned.merge, "__name__", "merge")
-    ) as merging:
-        outcome = planned.merge(
-            surviving,
-            semantics=semantics,
+    with span("shard.merge", strategy=strategy.name) as merging:
+        outcome = strategy.finish(
+            _merge_partials(surviving, bag=semantics == "bag"),
             database=database,
             normalized=call.normalized,
-            strategy=strategy,
+            semantics=semantics,
         )
         merging.incr("rows_out", len(outcome.answer))
     elapsed = time.perf_counter() - planned.start
@@ -461,17 +375,13 @@ def _finish_sharded(
         "sharded_relations": list(planned.plan.sharded_relations),
         "broadcast_relations": list(planned.plan.broadcast_relations),
     }
-    metadata = {
-        **outcome.metadata,
-        **_merged_backend_metadata(surviving),
-        "sharding": sharding_meta,
-    }
+    metadata = {**outcome.metadata, "sharding": sharding_meta}
     if retries:
         metadata["resilience"] = {"retries": retries}
     if failures:
         # A degraded merge is an under-approximation, never an exact
-        # answer — and with the naïve merge the "exact" claim (Theorem
-        # 4.4) only covers the full database, so it is withdrawn here.
+        # answer — and naïve evaluation's "exact" claim (Theorem 4.4)
+        # only covers the full database, so it is withdrawn here.
         metadata["degraded"] = {
             "failed_shards": sorted(failures),
             "errors": {shard: failures[shard] for shard in sorted(failures)},
@@ -507,9 +417,9 @@ def evaluate_sharded(
     runs whenever the (strategy, plan, semantics) combination does not
     distribute.  The fan-out is a :class:`~repro.engine.drive.Dispatch`
     of :func:`~repro.engine.drive.run_tasks` under the call's deadline,
-    retry policy and ``on_shard_error``.  ``"degrade"`` is
-    capability-gated: when the merge or the query's fragment cannot
-    guarantee a sound subset (:func:`_degrade_blocker`), shard failures
+    retry policy and ``on_shard_error``.  ``"degrade"`` is gated on
+    the query's fragment: when it is not monotone, the survivors' union
+    is no sound subset (:func:`_degrade_blocker`), so shard failures
     are retried but a persistent failure raises — wrapped in an
     :class:`~repro.engine.errors.EngineError` naming the blocker, so the
     caller learns *why* degradation was unavailable.
@@ -522,7 +432,7 @@ def evaluate_sharded(
     if planned.tasks:
         on_error = call.spec.on_shard_error
         blocker = (
-            _degrade_blocker(call.strategy.capabilities, call.normalized)
+            _degrade_blocker(call.normalized)
             if on_error == "degrade"
             else None
         )

@@ -348,9 +348,6 @@ class _RecordingExecutor:
     def __init__(self):
         self.closed = False
 
-    def run(self, tasks):  # pragma: no cover - never exercised here
-        return []
-
     def close(self):
         self.closed = True
 

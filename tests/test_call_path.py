@@ -42,9 +42,6 @@ class _OneFailsRestHang(ShardExecutor):
     def __init__(self):
         self.pending: list[concurrent.futures.Future] = []
 
-    def run(self, tasks):  # pragma: no cover - the fan-out never blocks here
-        raise AssertionError("the fast path must not run with a deadline set")
-
     def submit(self, task):
         future: concurrent.futures.Future = concurrent.futures.Future()
         if task.shard == 0:

@@ -130,7 +130,6 @@ def test_cache_bypass_escape_hatch_works_on_the_sharded_path(tiny_db):
         capabilities = StrategyCapabilities(
             semantics=("set",),
             shardable_ops=get_strategy("naive").capabilities.ops_for("set"),
-            shard_merge="naive-union",
         )
 
         def run(self, query, database, *, semantics, **options):
@@ -297,9 +296,6 @@ class _RecordingExecutor:
 
     def __init__(self):
         self.closed = False
-
-    def run(self, tasks):  # pragma: no cover - never exercised here
-        return []
 
     def close(self):
         self.closed = True

@@ -23,6 +23,7 @@ import pytest
 
 import repro.algebra.optimize
 import repro.algebra.stats
+import repro.datamodel.values
 import repro.obs.metrics
 import repro.resilience.breaker
 from repro import Database, Engine
@@ -535,8 +536,17 @@ def test_a_forked_child_starts_unarmed():
         lambda: repro.algebra.stats._STATS_LOCK,
         lambda: repro.resilience.breaker._REGISTRY_LOCK,
         lambda: repro.obs.metrics._GLOBAL._lock,
+        lambda: breaker_for("naive", "sqlite")._lock,
+        lambda: repro.datamodel.values._GLOBAL_FACTORY._lock,
     ],
-    ids=["optimize-memo", "stats-memo", "breaker-registry", "metrics-registry"],
+    ids=[
+        "optimize-memo",
+        "stats-memo",
+        "breaker-registry",
+        "metrics-registry",
+        "breaker",
+        "null-factory",
+    ],
 )
 def test_a_forked_child_can_take_a_module_lock_a_parent_thread_held(lock):
     """Workers fork from dispatcher threads while another parent thread

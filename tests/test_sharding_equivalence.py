@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from differential import SEED, _assert_identical, _build_database
 from repro import Database, Engine, Relation
 from repro.algebra import builder as rb
 from repro.algebra.conditions import Attr, Eq
+from repro.datamodel.values import Null
 from repro.sharding import HashPartitioner, RoundRobinPartitioner, ShardedDatabase
 from test_differential import AXES, slice_rows, sweep
 
@@ -24,8 +27,8 @@ from test_differential import AXES, slice_rows, sweep
 def test_sharded_equals_monolithic_process_executor():
     """A few cases through the process pool (expensive; kept small).
 
-    One strategy per shard merge, so both merges consume outcomes that
-    crossed a real process boundary.
+    Both shard-aware strategies, so both ``finish`` methods consume
+    unioned outcomes that crossed a real process boundary.
     """
     with Engine() as engine:
         for case in range(3):
@@ -78,6 +81,40 @@ def test_natural_join_and_semijoin_distribute_on_the_left():
             assert shard.metadata["sharding"]["sharded_relations"] == ["R"]
             assert shard.metadata["sharding"]["broadcast_relations"] == ["S"]
             _assert_identical(mono, shard, f"{type(query).__name__} ({semantics})")
+
+
+@pytest.mark.parametrize("null_in", ["read relation", "unread relation"])
+@pytest.mark.parametrize("strategy", ["naive", "approx-guagliardo16"])
+def test_merge_finishes_on_the_coalesced_database(strategy, null_in):
+    """A non-UCQ plan (a difference, broadcast) distributed over two
+    shards where only one shard holds a null: the exactness claim and
+    the annotations come from the coalesced database, never from a
+    shard's own completeness (shard 0 is complete on its own, and with
+    the null in a relation the plan does not read, so is every shard
+    task's database)."""
+    null = Null("x")
+    db = Database(
+        {
+            "R": Relation(("a",), [(0,), (null if null_in == "read relation" else 1,)]),
+            "S": Relation(("b",), [(1,), (2,)]),
+            "T": Relation(("b",), [(2,)]),
+            "U": Relation(("u",), [(5,), (null if null_in == "unread relation" else 6,)]),
+        }
+    )
+    sharded = ShardedDatabase.from_database(db, 2, RoundRobinPartitioner())
+    assert [sharded.fragment("R", i).is_complete() for i in range(2)] == [
+        True,
+        null_in != "read relation",
+    ]
+    query = rb.product(rb.relation("R"), rb.difference(rb.relation("S"), rb.relation("T")))
+    engine = Engine()
+    mono = engine.evaluate(query, db, strategy=strategy, use_cache=False)
+    shard = engine.evaluate(query, sharded, strategy=strategy, use_cache=False)
+    assert shard.metadata["sharding"]["mode"] == "distributed"
+    assert shard.metadata.get("exact") == mono.metadata.get("exact")
+    if strategy == "naive":
+        assert mono.metadata["exact"] is False and mono.certain is None
+    _assert_identical(mono, shard, f"{strategy}, null in a {null_in}")
 
 
 def test_sql_frontend_equivalence_under_sharding():
