@@ -58,7 +58,6 @@ chose.
 
 from __future__ import annotations
 
-import os
 import threading
 import warnings
 from collections import OrderedDict
@@ -939,17 +938,6 @@ def _plan_is_well_formed(query: ra.Query, schema: DatabaseSchema) -> bool:
 _OPTIMIZE_MEMO: OrderedDict[tuple, ra.Query] = OrderedDict()
 _OPTIMIZE_MEMO_SIZE = 2048
 _MEMO_LOCK = threading.Lock()
-
-
-def _renew_memo_lock() -> None:
-    # A worker forks from a dispatcher thread while another parent thread
-    # may hold the lock; the child keeps the memo (workers stay warm) but
-    # takes a lock nobody holds.
-    global _MEMO_LOCK
-    _MEMO_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_renew_memo_lock)
 
 
 def clear_optimize_memo() -> None:

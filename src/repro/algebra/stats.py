@@ -36,7 +36,6 @@ pins this tuple-for-tuple across every strategy.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -137,16 +136,6 @@ def compute_relation_stats(relation: "Relation") -> RelationStats:
 _STATS_MEMO: "OrderedDict[Relation, RelationStats]" = OrderedDict()
 _STATS_MEMO_SIZE = 512
 _STATS_LOCK = threading.Lock()
-
-
-def _renew_stats_lock() -> None:
-    # A forked worker keeps the memo but not a lock some other parent
-    # thread held at the fork.
-    global _STATS_LOCK
-    _STATS_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_renew_stats_lock)
 
 
 def relation_stats(relation: "Relation") -> RelationStats:

@@ -26,6 +26,7 @@ __all__ = [
     "constants_in",
     "nulls_in",
     "fresh_null",
+    "renew_fresh_nulls",
     "value_sort_key",
 ]
 
@@ -93,18 +94,21 @@ class NullFactory:
 _GLOBAL_FACTORY = NullFactory(prefix="n")
 
 
-def _renew_global_factory_lock() -> None:
-    # A forked worker keeps the label counter but not a lock some other
-    # parent thread held at the fork.
-    _GLOBAL_FACTORY._lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_renew_global_factory_lock)
-
-
 def fresh_null() -> Null:
     """Return a process-unique fresh null from the global factory."""
     return _GLOBAL_FACTORY.fresh()
+
+
+def renew_fresh_nulls() -> None:
+    """Mint this process's fresh nulls from a label space of its own.
+
+    A worker process starts with a copy of another process's label
+    counter; called once at its start, its :func:`fresh_null` labels
+    (``n<random token>.<k>``) can no longer repeat a label minted in the
+    parent or in a sibling worker.
+    """
+    global _GLOBAL_FACTORY
+    _GLOBAL_FACTORY = NullFactory(prefix=f"n{os.urandom(6).hex()}.")
 
 
 def is_null(value: Value) -> bool:

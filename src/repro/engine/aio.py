@@ -42,10 +42,9 @@ differs only in how it answers the steps:
   worker process running it), and the abandoned result is **never**
   inserted into the result cache.
 
-Custom strategies registered at runtime exist only in the parent
-process; with the default ``fork`` start method on Linux they are
-inherited by pool workers created *after* registration, otherwise use
-``pool="thread"`` or make the strategy importable.
+On ``pool="process"`` a strategy travels to the worker pickled by class
+reference, so it must be importable; a strategy defined inside a
+function runs on ``pool="thread"``.
 """
 
 from __future__ import annotations

@@ -92,7 +92,7 @@ class PreparedCall:
         return Task(
             normalized=self.normalized,
             database=self.database,
-            strategy=self.strategy.name,
+            strategy=self.strategy,
             semantics=self.spec.semantics,
             options=tuple(self.options.items()),
             deadline=self.deadline,

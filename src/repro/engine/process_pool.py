@@ -24,9 +24,15 @@ triple down its pipe, blocks on the reply, and resolves the future.  A
 terminated worker surfaces as ``EOFError`` on the pipe; the dispatcher
 respawns the process and moves on (expected after a cancel, a
 retryable :class:`BrokenWorkerError` on that one future otherwise).
-Workers are forked lazily on first submit, so strategies registered at
-runtime are inherited on platforms whose default start method is
-``fork``.
+
+Start method: every worker forks from one ``forkserver``, started with
+``repro.engine.workers`` (and, as the standard library does,
+``__main__``) preloaded, so a worker starts with the engine imported
+and inherits nothing of the parent's threads — no lock one of them held,
+no pipe end of a sibling being spawned.  Nothing reaches a worker by
+inheritance: what it runs arrives pickled, so a strategy run on this
+pool must be importable, and a script that builds the pool needs the
+``if __name__ == "__main__":`` guard.
 """
 
 from __future__ import annotations
@@ -36,9 +42,11 @@ import concurrent.futures
 import itertools
 import multiprocessing
 import os
+import sys
 import threading
 from typing import Any, Callable
 
+from ..datamodel.values import renew_fresh_nulls
 from ..resilience import fault_point
 
 __all__ = ["BrokenWorkerError", "CancellableFuture", "CancellableProcessExecutor"]
@@ -48,15 +56,47 @@ class BrokenWorkerError(RuntimeError):
     """A worker process died while running a task that was not cancelled."""
 
 
-#: Held from creating a worker's pipe until the parent has closed the
-#: child end.  A worker forked inside another spawn's window inherits
-#: that sibling's child end and keeps it open, so when the sibling dies
-#: its dispatcher's ``recv()`` never sees EOF and its task hangs.
-_SPAWN_LOCK = threading.Lock()
+#: The process that imported this module.  A worker forked from the
+#: preloaded server finds the server's pid here, not its own.
+_IMPORTED_IN = os.getpid()
+
+#: Serialises starting the server (it briefly rewrites ``PYTHONPATH``).
+_START_LOCK = threading.Lock()
+
+
+def _forkserver_context() -> multiprocessing.context.BaseContext:
+    """The ``forkserver`` context, its server running with the engine
+    preloaded from this process's ``sys.path``.
+
+    Python 3.10–3.13's server ignores the ``sys_path`` it is handed and
+    swallows a preload ``ImportError``, so an engine importable only
+    through a runtime ``sys.path`` insert would silently not preload.
+    The server is therefore started with this process's ``sys.path`` as
+    its ``PYTHONPATH``, restored right after start-up.
+    """
+    from multiprocessing import forkserver  # only processes that build a pool need it
+
+    ctx = multiprocessing.get_context("forkserver")
+    with _START_LOCK:
+        forkserver.set_forkserver_preload(["__main__", "repro.engine.workers"])
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = os.pathsep.join(path for path in sys.path if path)
+        try:
+            forkserver.ensure_running()
+        finally:
+            if saved is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = saved
+    return ctx
 
 
 def _worker_main(conn) -> None:
     """Worker-process loop: receive ``(fn, args, kwargs)``, reply once each."""
+    # Every worker starts from the server's label counter: without a
+    # label space of its own, its fresh nulls would repeat labels the
+    # parent or a sibling minted.
+    renew_fresh_nulls()
     while True:
         try:
             item = conn.recv()
@@ -142,14 +182,13 @@ class _Dispatcher:
 
     def _spawn(self) -> None:
         ctx = self.executor._ctx
-        with _SPAWN_LOCK:
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=_worker_main, args=(child_conn,), daemon=True,
-                name=f"repro-pool-worker-{self.index}",
-            )
-            process.start()
-            child_conn.close()
+        parent_conn, child_conn = ctx.Pipe()
+        process = ctx.Process(
+            target=_worker_main, args=(child_conn,), daemon=True,
+            name=f"repro-pool-worker-{self.index}",
+        )
+        process.start()
+        child_conn.close()
         with self.executor._lock:
             self.conn, self.process = parent_conn, process
 
@@ -257,7 +296,7 @@ class CancellableProcessExecutor(concurrent.futures.Executor):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be a positive integer or None")
         self._max_workers = max_workers or os.cpu_count() or 1
-        self._ctx = multiprocessing.get_context()
+        self._ctx = _forkserver_context()
         self._lock = threading.Lock()
         self._have_work = threading.Condition(self._lock)
         self._queue: collections.deque[_Job] = collections.deque()

@@ -36,7 +36,7 @@ from ..incomplete.certain import (
     possible_answers,
 )
 from ..exec import InterpreterBackend, execute_plans, interpreter_note
-from ..incomplete.naive import naive_evaluate, naive_evaluate_direct
+from ..incomplete.naive import naive_evaluate_direct
 from ..approx.guagliardo16 import translate_guagliardo16
 from ..approx.libkin16 import translate_libkin16
 from ..mvl.fo_eval import fo_sql
@@ -247,7 +247,6 @@ class NaiveStrategy(EvaluationStrategy):
     description = "naïve evaluation; exact on the fragments of Theorem 4.4"
 
     def run(self, query: NormalizedQuery, database: Database, *, semantics: str, **options):
-        textbook = bool(options.pop("textbook", False))
         optimize = bool(options.pop("optimize", False))
         stats = bool(options.pop("stats", False))
         backend = str(options.pop("backend", "interpreter"))
@@ -259,14 +258,7 @@ class NaiveStrategy(EvaluationStrategy):
                 "naïve bag semantics needs a relational algebra plan; the FO "
                 "evaluator is set-based"
             )
-        if textbook:
-            backend_meta = interpreter_note(
-                backend, "textbook valuation evaluation is interpreter-only"
-            )
-            relation = naive_evaluate(
-                target, database, bag=bag, optimize=optimize, stats=stats
-            )
-        elif query.algebra is None:
+        if query.algebra is None:
             backend_meta = interpreter_note(
                 backend, "no algebra plan (direct FO evaluation)"
             )

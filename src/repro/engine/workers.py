@@ -7,7 +7,7 @@ of :class:`~repro.engine.aio.AsyncEngine`, or the sync engine computing
 inline — or one shard of a sharded query
 (:mod:`repro.sharding.evaluate`):
 
-* :class:`Task` — the normalized query, the database, the strategy name,
+* :class:`Task` — the normalized query, the database, the strategy,
   semantics and options, the deadline, the trace context, and, for a
   shard, its index and partial-cache key.  Everything in it is a frozen
   dataclass or a ``__slots__`` value class, hence picklable.
@@ -21,9 +21,9 @@ inline — or one shard of a sharded query
   drives.  It is the one pool of the shard fan-out, the async engine
   and the server.
 
-Custom strategies registered at runtime exist only in the parent
-process; with the default ``fork`` start method on Linux they are
-inherited by process workers created *after* registration.
+A task carries the strategy object itself, pickled by class reference,
+so a process worker needs no registry entry for it — but a strategy run
+on the process pool must be importable (defined at module level).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .drive import completed_future
 from .errors import EngineError
 from .frontend import NormalizedQuery
 from .process_pool import CancellableProcessExecutor
-from .registry import StrategyOutcome, get_strategy
+from .registry import EvaluationStrategy, StrategyOutcome
 
 __all__ = [
     "POOL_KINDS",
@@ -60,7 +60,7 @@ class Task:
 
     normalized: NormalizedQuery
     database: Database
-    strategy: str
+    strategy: EvaluationStrategy
     semantics: str
     options: tuple[tuple[str, Any], ...] = ()
     #: Wall-clock budget carried to the worker (the absolute monotonic
@@ -96,23 +96,20 @@ class TaskResult:
 def run_task(task: Task) -> TaskResult:
     """Run one task; also the worker-process entry point.
 
-    Unpickling a task in a spawned worker imports this module, which
-    runs ``repro.engine.__init__`` and thereby registers the built-in
-    strategies before the lookup by name.  A traced task opens a
-    ``worker`` root (whole query) or a ``shard[i]`` root (shard task);
-    the ``shard.task`` fault point fires for shard tasks only.  A
-    whole-query outcome is finished here
+    A traced task opens a ``worker`` root (whole query) or a
+    ``shard[i]`` root (shard task); the ``shard.task`` fault point fires
+    for shard tasks only.  A whole-query outcome is finished here
     (:meth:`~repro.engine.registry.EvaluationStrategy.finish`); a shard
     outcome comes back unfinished — its relations and backend note only —
     because the sharded merge unions the shards' relations and finishes
     the union once, on the coalesced database.
     """
+    strategy = task.strategy
     if task.shard is None:
-        name, attrs = "worker", {"strategy": task.strategy}
+        name, attrs = "worker", {"strategy": strategy.name}
     else:
-        fault_point("shard.task", shard=task.shard, strategy=task.strategy)
-        name, attrs = f"shard[{task.shard}]", {"shard": task.shard, "strategy": task.strategy}
-    strategy = get_strategy(task.strategy)
+        fault_point("shard.task", shard=task.shard, strategy=strategy.name)
+        name, attrs = f"shard[{task.shard}]", {"shard": task.shard, "strategy": strategy.name}
     with nullcontext(None) if task.trace is None else task.trace.activate(name, **attrs) as root:
         start = time.perf_counter()
         # The deadline travels implicitly (context variable), never in

@@ -151,15 +151,6 @@ class MetricsRegistry:
 # ----------------------------------------------------------------------
 _GLOBAL = MetricsRegistry()
 
-
-def _renew_global_lock() -> None:
-    # A forked worker keeps the counters but not a lock some other
-    # parent thread held at the fork.
-    _GLOBAL._lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_renew_global_lock)
-
 _ENABLED = os.environ.get("REPRO_OBS_METRICS", "1").strip().lower() not in {
     "0",
     "false",

@@ -4,7 +4,7 @@ The execution layers call :func:`fault_point` at the places where the
 real world fails — shard-task execution, pool dispatch, cache backend
 reads/writes, the SQLite backend::
 
-    fault_point("shard.task", shard=task.shard, strategy=task.strategy)
+    fault_point("shard.task", shard=task.shard, strategy=task.strategy.name)
 
 With no :class:`FaultPlan` armed the call is a module-global ``None``
 check — effectively free, safe to leave in production paths.  The chaos
@@ -227,17 +227,6 @@ def disarm_faults() -> None:
 def armed_plan() -> FaultPlan | None:
     """The currently armed plan."""
     return _PLAN
-
-
-def _unarm_after_fork() -> None:
-    # A forked worker gets its plan with its tasks, never from the fork:
-    # a parent thread may have held the lock, or the plan's own lock, at
-    # that instant.
-    global _PLAN, _ARM_LOCK
-    _PLAN, _ARM_LOCK = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_unarm_after_fork)
 
 
 def adopt_faults(plan: FaultPlan | None) -> None:

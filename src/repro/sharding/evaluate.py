@@ -261,7 +261,7 @@ def _plan_sharded_call(
                 Task(
                     normalized=rewritten,
                     database=_task_database(database, shard, plan),
-                    strategy=strategy.name,
+                    strategy=strategy,
                     semantics=semantics,
                     options=tuple(options.items()),
                     deadline=call.deadline,

@@ -20,7 +20,10 @@ import asyncio
 import concurrent.futures
 import multiprocessing
 import os
+import pathlib
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -28,6 +31,7 @@ import pytest
 
 from repro.datamodel.database import Database
 from repro.datamodel.relation import Relation
+from repro.datamodel.values import fresh_null
 from repro.engine import AsyncEngine
 from repro.engine.registry import (
     EvaluationStrategy,
@@ -37,6 +41,8 @@ from repro.engine.registry import (
     unregister_strategy,
 )
 from repro.engine.process_pool import BrokenWorkerError, CancellableProcessExecutor
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -277,56 +283,91 @@ def test_pool_shutdown_rejects_new_work():
     assert multiprocessing.active_children() == []
 
 
-class _SlowStartContext:
-    """A start-method context whose ``Process.start`` lingers after the
-    fork, widening the window before the parent closes the child's pipe
-    end; records the processes in the order they were forked."""
-
-    def __init__(self, ctx):
-        self._ctx = ctx
-        self.started: list = []
-
-    def Pipe(self, *args, **kwargs):
-        return self._ctx.Pipe(*args, **kwargs)
-
-    def Process(self, *args, **kwargs):
-        process = self._ctx.Process(*args, **kwargs)
-        fork = process.start
-
-        def start():
-            fork()
-            self.started.append(process)
-            time.sleep(0.5)
-
-        process.start = start
-        return process
-
-
 @pytest.mark.timeout(60)
-def test_concurrent_spawns_do_not_leak_pipe_ends():
-    """A worker forked while a sibling is being spawned must not inherit
-    the sibling's pipe end: killing the first-forked worker fails its
-    task at once, not when the other worker's task ends."""
+def test_a_killed_worker_fails_only_its_own_task():
+    """Killing one of two running workers fails that worker's task at
+    once with :class:`BrokenWorkerError`, while its sibling runs on."""
     pool = CancellableProcessExecutor(max_workers=2)
-    ctx = pool._ctx = _SlowStartContext(pool._ctx)
     futures = [pool.submit(time.sleep, 20) for _ in range(2)]
     try:
         deadline = time.monotonic() + 10
-        while len(ctx.started) < 2:
+        while len(pool.worker_pids()) < 2:
             assert time.monotonic() < deadline, "workers never spawned"
             time.sleep(0.02)
-        time.sleep(0.8)  # both spawns finished, both tasks sent
-        os.kill(ctx.started[0].pid, signal.SIGKILL)
-        done, _ = concurrent.futures.wait(
+        time.sleep(0.3)  # let both workers pick their task up
+        os.kill(pool.worker_pids()[0], signal.SIGKILL)
+        done, running = concurrent.futures.wait(
             futures, timeout=5, return_when=concurrent.futures.FIRST_COMPLETED
         )
         assert len(done) == 1, "the killed worker's task did not fail"
         assert isinstance(done.pop().exception(), BrokenWorkerError)
+        assert not running.pop().done()
     finally:
         for future in futures:
             future.cancel()
         pool.shutdown(wait=True, cancel_futures=True)
     assert multiprocessing.active_children() == []
+
+
+_PRELOAD_PROBE = """
+import os, sys
+sys.path.insert(0, {src!r})
+from repro.engine.process_pool import CancellableProcessExecutor
+
+def pids():
+    from repro.engine import process_pool
+    return os.getpid(), process_pool._IMPORTED_IN
+
+if __name__ == "__main__":
+    with CancellableProcessExecutor(max_workers=1) as pool:
+        worker, imported_in = pool.submit(pids).result(timeout=60)
+    print(os.getpid(), worker, imported_in)
+"""
+
+
+@pytest.mark.timeout(120)
+def test_workers_fork_from_the_preloaded_server(tmp_path):
+    """A worker finds the engine already imported — by the server it
+    forked from, not by itself — even when the script reaches ``repro``
+    only through a runtime ``sys.path`` insert (no ``PYTHONPATH``)."""
+    script = tmp_path / "probe.py"
+    script.write_text(_PRELOAD_PROBE.format(src=str(SRC)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(script)], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=100,
+    )
+    assert done.returncode == 0, done.stderr
+    parent, worker, imported_in = map(int, done.stdout.split())
+    assert imported_in not in (parent, worker)
+
+
+def _mint_a_null(delay: float):
+    time.sleep(delay)  # keeps this worker busy while its sibling mints
+    return os.getpid(), fresh_null()
+
+
+@pytest.mark.timeout(60)
+def test_sibling_workers_mint_distinct_nulls():
+    """Workers fork from one server with one label counter; each must
+    still mint nulls its siblings never mint."""
+    with CancellableProcessExecutor(max_workers=2) as pool:
+        futures = [pool.submit(_mint_a_null, 0.5) for _ in range(2)]
+        (pid_a, null_a), (pid_b, null_b) = (f.result(timeout=60) for f in futures)
+    assert pid_a != pid_b
+    assert null_a != null_b
+    assert multiprocessing.active_children() == []
+
+
+class _SleepyStrategy(EvaluationStrategy):
+    """Sleeps far longer than any test waits (module level, so a process
+    worker unpickles it by reference)."""
+
+    capabilities = StrategyCapabilities(semantics=("set",))
+
+    def run(self, query, database, *, semantics, **options):
+        time.sleep(30)
+        return StrategyOutcome(answer=Relation(("a",), [(1,)]))
 
 
 def _worker_pids(engine: AsyncEngine) -> list[int]:
@@ -338,13 +379,7 @@ def test_async_engine_cancellation_reaches_worker_process(tiny_db):
     """End to end: cancelling the await terminates the worker process of
     the default ``"process"`` pool, which respawns it for the next call."""
 
-    @register_strategy("test-cancel-sleepy")
-    class _SleepyStrategy(EvaluationStrategy):
-        capabilities = StrategyCapabilities(semantics=("set",))
-
-        def run(self, query, database, *, semantics, **options):
-            time.sleep(30)
-            return StrategyOutcome(answer=Relation(("a",), [(1,)]))
+    register_strategy("test-cancel-sleepy")(_SleepyStrategy)
 
     async def main():
         async with AsyncEngine(pool="process", max_workers=1) as engine:

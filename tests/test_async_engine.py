@@ -8,14 +8,18 @@ fan-out, the ``max_concurrency`` semaphore, single-flight coalescing of
 identical in-flight evaluations, cache sharing with the sync twin, error
 propagation out of workers, and engine/session lifecycle.
 
-Custom strategies registered here run on the ``thread`` pool (they only
-exist in this process); the process pool is exercised with the built-in
-strategies in the equivalence harness and in E14.
+Custom strategies defined inside the tests here run on the ``thread``
+pool (a process worker can only unpickle an importable strategy); the
+process pool is exercised with the built-in strategies in the
+equivalence harness and in E14.
 """
 
 from __future__ import annotations
 
 import asyncio
+import pathlib
+import subprocess
+import sys
 import threading
 import time
 
@@ -34,6 +38,9 @@ from repro.engine import (
 )
 from repro.server import EvalServer, ServerConfig
 from repro.sharding import ShardedDatabase
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -290,6 +297,46 @@ def test_compare_skip_inapplicable(tiny_db):
                 )
 
     asyncio.run(main())
+
+
+_NULL_PROBE = """
+import asyncio, sys
+sys.path.insert(0, {src!r})
+from repro import AsyncEngine, Database, Engine, Null
+
+QUERY = "SELECT r.a FROM r UNION SELECT NULL FROM s"
+
+async def main():
+    async with AsyncEngine(pool="process", max_workers=1) as engine:
+        warm = Database.from_dict({{"s": (("b",), [(1,)])}})
+        await engine.evaluate("SELECT b FROM s", warm, strategy="naive")
+        db = Database.from_dict({{
+            "r": (("a",), [(Null(),) for _ in range(4)] + [(1,)]),
+            "s": (("b",), [(1,)]),
+        }})
+        worker = await engine.evaluate(QUERY, db, strategy="sql-3vl")
+    local = Engine().evaluate(QUERY, db, strategy="sql-3vl")
+    print(len(worker.relation), len(local.relation))
+
+if __name__ == "__main__":
+    asyncio.run(main())
+"""
+
+
+@pytest.mark.timeout(120)
+def test_a_null_minted_in_a_worker_is_fresh_in_the_parent(tmp_path):
+    """SQL's ``NULL`` literal mints a fresh null (the SQL-evaluator
+    fallback); minted in a process worker it must not repeat the label
+    of a null the parent built.  Run in a fresh interpreter, where the
+    parent's first nulls carry the labels a worker's counter starts at."""
+    script = tmp_path / "probe.py"
+    script.write_text(_NULL_PROBE.format(src=str(SRC)))
+    done = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path,
+        capture_output=True, text=True, timeout=100,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["6", "6"]
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,13 @@ reduction must leave every answer as the brute force of
 ``tests/certain_oracle.py`` computes it, row for row.  The random cases
 come from the shared differential generator (``REPRO_DIFF_SEED``,
 ``REPRO_DIFF_CASES``) with one to three nulls, shared or distinct, plus
-order comparisons and ``Dom^k`` leaves the generator alone never draws;
-the pinned cases each guard one reduction's gate.
+order comparisons and ``Dom^k`` leaves the generator alone never draws.
+A share of the cases crowds distinct nulls into one relation of an
+otherwise empty database and compares two null-bearing columns by
+order: with no known constant, only the fresh constants — their
+equalities and their order — can refute a candidate, so the sweep
+itself exercises both symmetry gates.  The pinned cases each guard one
+reduction's gate.
 """
 
 from __future__ import annotations
@@ -22,14 +27,52 @@ from repro.algebra import builder as rb
 from repro.algebra.ast import DomainRelation
 from repro.algebra.conditions import Attr, Eq, Ge, Gt, Literal, Lt
 from repro.incomplete import certain_answers_with_nulls, certain_boolean, possible_answers
+from repro.incomplete.naive import naive_evaluate_direct
 
 #: The brute force enumerates every world without early exit, so this
 #: sweep takes a slice of the differential case count.
 REDUCTION_CASES = max(8, CASES // 4)
 
 
+#: The share of random cases drawn by :func:`_crowded_case`.
+CROWDED_SHARE = 0.3
+
+
+def _crowded_case(rng):
+    """Two or three distinct nulls (one repeated to fill the last pair)
+    in R or S, the other relations empty; half the time the query keeps
+    only the rows a strict order comparison of two null-bearing columns
+    rejects, ``Q − σ_{A<B}(Q)``."""
+    name = rng.choice(["R", "S"])
+    nulls = [Null(f"h{rng.randrange(1_000_000)}_{i}") for i in range(rng.randint(2, 3))]
+    cells = nulls + [rng.choice(nulls) for _ in range(len(nulls) % 2)]
+    crowded = [tuple(cells[i : i + 2]) for i in range(0, len(cells), 2)]
+    schema = {"R": ("a", "b"), "S": ("c", "d"), "T": ("e",)}
+    database = Database(
+        {
+            relation: Relation(attrs, crowded if relation == name else [])
+            for relation, attrs in schema.items()
+        }
+    )
+    query = _QueryGen(rng, database.schema()).query(rng.randint(0, 1))
+    if rng.random() < 0.5:
+        answer = naive_evaluate_direct(query, database)
+        columns = [
+            attr
+            for index, attr in enumerate(answer.attributes)
+            if any(isinstance(row[index], Null) for row in answer.rows_set())
+        ]
+        if len(columns) < 2:
+            query, columns = rb.relation(name), list(schema[name])
+        left, right = (Attr(attr) for attr in rng.sample(columns, 2))
+        query = rb.difference(query, rb.select(query, rng.choice((Lt, Gt))(left, right)))
+    return database, query
+
+
 def _random_case(case: int):
     rng = case_rng(case)
+    if rng.random() < CROWDED_SHARE:
+        return _crowded_case(rng)
     database = _build_database(rng, null_density=0.0)
     database = _inject_k_nulls(database, rng.randint(1, 3), rng.random() < 0.5, rng)
     gen = _QueryGen(rng, database.schema())

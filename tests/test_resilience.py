@@ -15,17 +15,12 @@ to HTTP 504 while ``/healthz`` exposes breaker snapshots.
 from __future__ import annotations
 
 import os
+import pathlib
 import pickle
-import threading
 import time
 
 import pytest
 
-import repro.algebra.optimize
-import repro.algebra.stats
-import repro.datamodel.values
-import repro.obs.metrics
-import repro.resilience.breaker
 from repro import Database, Engine
 from repro.algebra import builder as rb
 from repro.algebra.conditions import Attr, Eq
@@ -42,7 +37,6 @@ from repro.resilience import (
     RetryPolicy,
     TransientFault,
     active_deadline,
-    armed_plan,
     breaker_for,
     deadline_scope,
     faults_armed,
@@ -424,18 +418,38 @@ def _is_shard_zero(database: Database) -> bool:
     return any(row[0] == 0 for _, relation in database.relations() for row in relation.rows_set())
 
 
+class _FailShardZero(NaiveStrategy):
+    """Shard 0 fails at once; any other shard sleeps, then writes the
+    ``marker`` file — unless it is cancelled first."""
+
+    def run(self, query, database, *, marker, **kwargs):
+        if _is_shard_zero(database):
+            raise RuntimeError("shard 0 is down")
+        time.sleep(1.5)
+        pathlib.Path(marker).write_text("the cancelled sibling ran to its end")
+        return super().run(query, database, **kwargs)
+
+
+class _CrashOnce(NaiveStrategy):
+    """The first run, the one that creates the ``marker`` file, kills its
+    worker process; every later run is plain naïve evaluation."""
+
+    def run(self, query, database, *, marker, **kwargs):
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return super().run(query, database, **kwargs)
+        os._exit(3)
+
+
 @pytest.fixture
 def scripted_strategy():
-    """Register naïve evaluation with a per-shard script run first."""
+    """Register one of the scripted naïve strategies above.  They live at
+    module level, so a process worker unpickles them by reference."""
     name = "test-scripted-naive"
 
-    def register(script):
-        @register_strategy(name)
-        class _Scripted(NaiveStrategy):
-            def run(self, query, database, **kwargs):
-                script(database)
-                return super().run(query, database, **kwargs)
-
+    def register(cls):
+        register_strategy(name)(cls)
         return name
 
     yield register
@@ -447,19 +461,12 @@ def test_failed_shard_terminates_its_running_sibling(tmp_path, scripted_strategy
     """Under ``"raise"`` a failed shard cancels its siblings, and on the
     process pool that terminates a sibling already running."""
     marker = tmp_path / "sibling-finished"
-
-    def script(database):
-        if _is_shard_zero(database):
-            raise RuntimeError("shard 0 is down")
-        time.sleep(1.5)
-        marker.write_text("the cancelled sibling ran to its end")
-
-    strategy = scripted_strategy(script)
+    strategy = scripted_strategy(_FailShardZero)
     with Engine(shards=2, partitioner=RoundRobinPartitioner(), executor="process") as engine:
         with pytest.raises(RuntimeError, match="shard 0 is down"):
             engine.evaluate(
                 _cq_plan(), _database(), strategy=strategy, use_cache=False,
-                on_shard_error="raise",
+                on_shard_error="raise", marker=str(marker),
             )
         time.sleep(2.5)
     assert not marker.exists()
@@ -470,21 +477,14 @@ def test_dead_worker_costs_one_retry(tmp_path, scripted_strategy):
     """A worker that dies fails only its own task: one retry, and the
     siblings' results stand."""
     marker = tmp_path / "crashed-once"
-
-    def script(database):
-        try:
-            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            return
-        os._exit(3)
-
-    strategy = scripted_strategy(script)
+    strategy = scripted_strategy(_CrashOnce)
     db = _database()
     monolithic = Engine().evaluate(_cq_plan(), db, strategy="naive", use_cache=False)
     with Engine(shards=3, executor="process") as engine:
         result = engine.evaluate(
             _cq_plan(), db, strategy=strategy, use_cache=False, on_shard_error="retry",
             retry=RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0),
+            marker=str(marker),
         )
     assert marker.exists(), "no worker crashed"
     assert result.metadata["sharding"]["mode"] == "distributed"
@@ -494,7 +494,7 @@ def test_dead_worker_costs_one_retry(tmp_path, scripted_strategy):
 
 @pytest.mark.timeout(60)
 def test_fault_plan_follows_tasks_into_a_warm_process_worker():
-    """A worker forked before arming still fires the plan (it rides on
+    """A worker started before arming still fires the plan (it rides on
     the task), and stops firing once the plan is disarmed."""
     db = _database()
     plan = _cq_plan()
@@ -514,63 +514,6 @@ def test_fault_plan_follows_tasks_into_a_warm_process_worker():
         assert again.relation.rows_bag() == reference.relation.rows_bag()
     finally:
         pool.close()
-
-
-def test_a_forked_child_starts_unarmed():
-    """The plan (and its locks, which a parent thread may hold at the
-    fork) never crosses a fork: a worker gets its plan with its tasks."""
-    with faults_armed(FaultPlan([FaultRule(point="shard.task")], seed=0)):
-        pid = os.fork()
-        if pid == 0:
-            os._exit(0 if armed_plan() is None else 1)
-        _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-
-
-@pytest.mark.timeout(30)
-@pytest.mark.parametrize(
-    "lock",
-    [
-        # Read afresh on each call: the fork hook rebinds it in the child.
-        lambda: repro.algebra.optimize._MEMO_LOCK,
-        lambda: repro.algebra.stats._STATS_LOCK,
-        lambda: repro.resilience.breaker._REGISTRY_LOCK,
-        lambda: repro.obs.metrics._GLOBAL._lock,
-        lambda: breaker_for("naive", "sqlite")._lock,
-        lambda: repro.datamodel.values._GLOBAL_FACTORY._lock,
-    ],
-    ids=[
-        "optimize-memo",
-        "stats-memo",
-        "breaker-registry",
-        "metrics-registry",
-        "breaker",
-        "null-factory",
-    ],
-)
-def test_a_forked_child_can_take_a_module_lock_a_parent_thread_held(lock):
-    """Workers fork from dispatcher threads while another parent thread
-    may hold a module lock; the child must not inherit it held."""
-    held, release = threading.Event(), threading.Event()
-
-    def hold():
-        with lock():
-            held.set()
-            release.wait(10)
-
-    holder = threading.Thread(target=hold)
-    holder.start()
-    try:
-        assert held.wait(5)
-        pid = os.fork()
-        if pid == 0:
-            os._exit(0 if lock().acquire(timeout=2) else 1)
-    finally:
-        release.set()
-        holder.join(5)
-    _, status = os.waitpid(pid, 0)
-    assert not holder.is_alive()
-    assert os.waitstatus_to_exitcode(status) == 0
 
 
 # ----------------------------------------------------------------------

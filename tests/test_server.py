@@ -56,18 +56,21 @@ def client(server):
         yield c
 
 
+class _SleepStrategy(EvaluationStrategy):
+    """Sleeps ``delay`` seconds, then answers (module level, so a process
+    worker unpickles it by reference)."""
+
+    capabilities = StrategyCapabilities(semantics=("set",))
+
+    def run(self, query, database, *, semantics, **options):
+        time.sleep(float(options.get("delay", 1.0)))
+        return StrategyOutcome(answer=Relation(("a",), [(1,)]))
+
+
 @pytest.fixture
 def sleep_strategy():
-    """A registered strategy that sleeps ``delay`` seconds, then answers."""
-
-    @register_strategy("test-server-sleep")
-    class _SleepStrategy(EvaluationStrategy):
-        capabilities = StrategyCapabilities(semantics=("set",))
-
-        def run(self, query, database, *, semantics, **options):
-            time.sleep(float(options.get("delay", 1.0)))
-            return StrategyOutcome(answer=Relation(("a",), [(1,)]))
-
+    """:class:`_SleepStrategy`, registered for the test."""
+    register_strategy("test-server-sleep")(_SleepStrategy)
     yield "test-server-sleep"
     unregister_strategy("test-server-sleep")
 
